@@ -2779,19 +2779,13 @@ DOC_VOCAB = [
 DOC_ALIAS_INDEX = {v: v.upper() for v in DOC_VOCAB}
 
 
-# The analytics vocab is 10 terms: compiling the automaton per task is
-# microseconds, so these stages run as stateless fused tasks with a
-# process-level pattern cache instead of actor pools.  (The actor-pool
-# variant — stages.mention.MentionDetector — is for heavy vocabularies:
-# real STRING/KEGG lexicons, where the automaton build is worth amortizing.)
+# The analytics vocab is 10 terms, so these stages run as stateless fused
+# tasks with process-level caches of the vocabulary arrays below.  The
+# flagship extraction (pipelines.kg.extract_triples) takes the same shape
+# for real STRING/KEGG lexicons: one task stage whose extractor is built
+# once per worker process and cached by a content digest.  Actor pools are
+# kept for models.
 import functools
-
-
-@functools.lru_cache(maxsize=8)
-def _cached_pattern(vocab: tuple):
-    from ..stages.mention import compile_vocab_pattern
-
-    return compile_vocab_pattern(list(vocab))
 
 
 @functools.lru_cache(maxsize=8)
@@ -3056,9 +3050,8 @@ def triples_canonical(sf_dir: str) -> pd.DataFrame:
 
     One fused task stage does extract → link (canonical alias map) → pred
     column → batch-local dedup (combiner); the only shuffles are the two
-    salted-dedup groupbys.  The heavy-state variant of this pipeline (actor
-    pools for the automaton/linker, real vocabularies) is
-    ``pipelines.kg.extract_triples``.
+    salted-dedup groupbys.  The variant of this pipeline for real
+    vocabularies and alias indexes is ``pipelines.kg.extract_triples``.
     """
     from ..stages.dedup import salted_dedup
     from ..stages.linker import normalize_surface

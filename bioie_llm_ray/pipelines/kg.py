@@ -1,18 +1,29 @@
 """Flagship KG-construction pipeline over the docs table (SURVEY §7.1).
 
-    read_parquet(docs) → sha256 → TripleExtractor actor pool (vocabulary
-    automaton, boundary-checked) → EntityLinker (broadcast alias index) →
-    salted canonical dedup → triples
+    read_parquet(docs) → sha256 → extract + link (one task-pool stage:
+    boundary-checked vocabulary scan, alias index applied in the same
+    call) → salted canonical dedup → triples
 
 The triple-emission convention mirrors the reference's STRING entity task: a
 document stating "Q interacts with A, B" yields (Q, rel, A), (Q, rel, B) —
 the first detected mention is the subject, subsequent mentions objects.
-Subject/object pairing happens inside the extraction actor (one pass per
+Subject/object pairing happens inside the extraction call (one pass per
 document), so no per-document shuffle is needed; the only wide operation is
 the final dedup, salted on the source sha to defuse hub-entity keys.
+
+Extraction runs as stateless tasks, not as an actor pool.  The lexicon
+state (vocabulary and linked-id arrays) is built once per worker process
+and cached under a content digest of (vocab, relation, alias index), so it
+is reused across batches, partitions and runs: no actor pool starts or
+stops per Dataset, and a task gives its CPU back after each batch, so the
+downstream shuffle schedules even on a one-CPU session.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
+from collections import OrderedDict
 
 import pyarrow as pa
 import ray
@@ -20,11 +31,18 @@ import ray
 from ..sources.readers import read_docs
 from ..stages.dedup import batch_local_dedup, salted_dedup
 from ..stages.linker import EntityLinker
-from ..stages.mention import MentionDetector
+from ..stages.mention import (
+    MentionDetector,
+    ParquetState,
+    _resolve_state,
+    vocab_is_tokenizable,
+    vocab_token_hits,
+)
 
 
 class TripleExtractor(MentionDetector):
-    """Mention detection + per-document triple emission in one actor pass.
+    """Mention detection + per-document triple emission + entity linking in
+    one pass.
 
     Emitting triples inside the same stage as detection keeps all mentions of
     a document on one worker without any co-location shuffle — the
@@ -35,25 +53,42 @@ class TripleExtractor(MentionDetector):
     vectorized Arrow pass (``stages.mention.vocab_token_hits``); vocabularies
     with terms the tokenizer can't express (embedded spaces/punctuation)
     fall back to the per-row regex loop with identical semantics.
+
+    With an ``alias_index``, ``subj``/``obj`` carry canonical ids exactly as
+    two ``EntityLinker(add_linked_flag=False)`` passes over the output would
+    set them.  The vectorized path links the sorted vocabulary once and
+    takes from the linked array; the subj != obj filter still compares
+    surface forms, as it does before a separate linking pass.
     """
 
-    def __init__(self, vocab, relation: str = "interacts_with", **kwargs):
+    def __init__(
+        self,
+        vocab,
+        relation: str = "interacts_with",
+        alias_index=None,
+        **kwargs,
+    ):
         super().__init__(vocab, **kwargs)  # resolves vocab → self.vocab
         self.relation = relation
-        from ..stages.mention import vocab_is_tokenizable
-
-        self.vocab_arr = (
-            pa.array(sorted(set(self.vocab)), type=pa.string())
-            if vocab_is_tokenizable(self.vocab)
-            else None
+        self.linker = (
+            None
+            if alias_index is None
+            else EntityLinker(alias_index, add_linked_flag=False)
         )
+        self.vocab_arr = None
+        if vocab_is_tokenizable(self.vocab):
+            self.vocab_arr = pa.array(sorted(set(self.vocab)), type=pa.string())
+            self.linked_arr = self._link(self.vocab_arr.to_pylist())
+
+    def _link(self, surfaces: list[str]) -> pa.Array:
+        if self.linker is not None:
+            surfaces, _ = self.linker.link(surfaces)
+        return pa.array(surfaces, type=pa.string())
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if self.vocab_arr is None:
             return self._call_regex(batch)
         import numpy as np
-
-        from ..stages.mention import vocab_token_hits
 
         row, vi = vocab_token_hits(batch[self.text_col], self.vocab_arr)
         # subj = first mention per doc; objs = every later mention != subj
@@ -67,9 +102,9 @@ class TripleExtractor(MentionDetector):
         return pa.table(
             {
                 **{c: batch[c].take(rows) for c in self.id_cols},
-                "subj": self.vocab_arr.take(pa.array(subj_per_row[keep])),
+                "subj": self.linked_arr.take(pa.array(subj_per_row[keep])),
                 "pred": pa.array([self.relation] * n, type=pa.string()),
-                "obj": self.vocab_arr.take(pa.array(vi[keep])),
+                "obj": self.linked_arr.take(pa.array(vi[keep])),
             }
         )
 
@@ -94,11 +129,41 @@ class TripleExtractor(MentionDetector):
         return pa.table(
             {
                 **{c: pa.array(out[c]) for c in self.id_cols},
-                "subj": pa.array(out["subj"], type=pa.string()),
+                "subj": self._link(out["subj"]),
                 "pred": pa.array(out["pred"], type=pa.string()),
-                "obj": pa.array(out["obj"], type=pa.string()),
+                "obj": self._link(out["obj"]),
             }
         )
+
+
+# Per-worker-process extractors, most recently used last, keyed by
+# ``_state_digest``.  A few entries cover the (vocab, relation, alias
+# index) combinations one job alternates between.
+_EXTRACTORS: OrderedDict[str, TripleExtractor] = OrderedDict()
+_EXTRACTORS_MAX = 4
+
+
+def _extract_batch(batch: pa.Table, *, key: str, **ctor) -> pa.Table:
+    """Task body: this process's cached ``TripleExtractor(**ctor)``, built
+    on first use of ``key``, applied to one batch."""
+    tx = _EXTRACTORS.pop(key, None) or TripleExtractor(**ctor)
+    _EXTRACTORS[key] = tx
+    if len(_EXTRACTORS) > _EXTRACTORS_MAX:
+        _EXTRACTORS.popitem(last=False)
+    return tx(batch)
+
+
+def _state_digest(**ctor) -> str:
+    """Content digest of the extractor's constructor arguments.  A
+    ``ParquetState`` contributes its path, columns and each file's size and
+    mtime; object identity never enters the key."""
+    h = hashlib.sha256()
+    for name, value in sorted(ctor.items()):
+        value = _resolve_state(value)
+        if isinstance(value, ParquetState):
+            value = {"parquet_state": value.fingerprint()}
+        h.update(json.dumps([name, value], sort_keys=True, default=list).encode())
+    return h.hexdigest()
 
 
 def extract_triples(
@@ -107,42 +172,29 @@ def extract_triples(
     alias_index: dict[str, str] | None = None,
     relation: str = "interacts_with",
     dedup: bool = True,
-    # sized so the pool never reserves every CPU: downstream shuffle tasks
-    # must still schedule while actors are alive (pool starvation hangs the
-    # pipeline — observed with concurrency == num_cpus on a 4-CPU session)
-    concurrency: int | tuple[int, int] = (1, 4),
     batch_size: int = 1024,
     n_salt: int = 16,
 ) -> ray.data.Dataset:
     """docs (with content_sha256) → canonical (subj, pred, obj, src_sha).
 
-    Actor constructor args are passed BY VALUE (or as a ``ParquetState``
-    pointer for big lexicons), never as ``ray.put`` refs: refs in the
-    constructor make actor restart fail when the object is lost
-    (ray#53727) — a real resilience gap on clusters where object loss is
-    routine.
+    Extraction and linking are one task-pool ``map_batches`` stage.  Its
+    function takes this worker process's cached ``TripleExtractor`` for the
+    digest of (vocab, relation, alias_index), computed here once, so the
+    lexicon state is built once per process and reused across batches,
+    partitions and runs.
+
+    ``vocab`` and ``alias_index`` travel BY VALUE in ``fn_kwargs`` (or as a
+    ``ParquetState`` pointer for big lexicons), never as ``ray.put`` refs:
+    a retried task must not depend on a user object that may be lost
+    (ray#53727).
     """
+    ctor = {"vocab": vocab, "relation": relation, "alias_index": alias_index}
     triples = docs.map_batches(
-        TripleExtractor,
-        fn_constructor_kwargs={"vocab": vocab, "relation": relation},
+        _extract_batch,
+        fn_kwargs={"key": _state_digest(**ctor), **ctor},
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
     )
-    if alias_index is not None:
-        for col in ("subj", "obj"):
-            triples = triples.map_batches(
-                EntityLinker,
-                fn_constructor_kwargs={
-                    "alias_index": alias_index,
-                    "mention_col": col,
-                    "out_col": col,
-                    "add_linked_flag": False,
-                },
-                batch_format="pyarrow",
-                batch_size=batch_size,
-                concurrency=concurrency,
-            )
     # TripleExtractor carries content_sha256 (its default id col); avoid
     # ds.schema() here — it would trigger partial execution of the pipeline.
     triples = triples.rename_columns({"content_sha256": "src_sha"})
@@ -183,8 +235,6 @@ def run_flagship_resumable(
     path, vocabulary hash, model id, and per-partition metrics.  Rerunning
     after a crash skips partitions whose MANIFEST.json exists.
     """
-    import hashlib
-
     from ..state import checkpoint
 
     vocab_hash = hashlib.sha256(

@@ -68,8 +68,9 @@ class EntityLinker:
         self.keep_unlinked = keep_unlinked
         self.add_linked_flag = add_linked_flag
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        mentions = batch[self.mention_col].to_pylist()
+    def link(self, mentions: list[str]) -> tuple[list[str | None], list[bool]]:
+        """Canonical id per mention (``None`` for an unlinked mention unless
+        ``keep_unlinked``) and whether it linked."""
         canon: list[str | None] = []
         linked: list[bool] = []
         for m in mentions:
@@ -81,6 +82,10 @@ class EntityLinker:
             else:
                 canon.append(c)
                 linked.append(True)
+        return canon, linked
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        canon, linked = self.link(batch[self.mention_col].to_pylist())
         canon_arr = pa.array(canon, type=pa.string())
         if self.out_col in batch.column_names:
             out = batch.set_column(

@@ -28,6 +28,7 @@ callers but are the restart-fragile shape.
 
 from __future__ import annotations
 
+import functools
 import re
 
 import numpy as np
@@ -106,6 +107,22 @@ class ParquetState:
         fs, p = resolve(self.path)
         return pq.read_table(p, columns=self.columns, filesystem=ray_fs(fs))
 
+    def fingerprint(self) -> list:
+        """(path, columns, then (file, size, mtime) for every file under
+        the path): changes whenever the stored content may have changed."""
+        from ..state.fs import resolve
+
+        fs, p = resolve(self.path)
+        infos = fs.find(p, detail=True) if fs.isdir(p) else {p: fs.info(p)}
+        return [
+            self.path,
+            self.columns,
+            [
+                [name, info.get("size"), str(info.get("mtime"))]
+                for name, info in sorted(infos.items())
+            ],
+        ]
+
 
 def _resolve_state(value):
     """Plain value | ParquetState | legacy ObjectRef → plain value."""
@@ -130,9 +147,14 @@ class MentionDetector:
         if isinstance(vocab, ParquetState):
             vocab = vocab.load().column(0).to_pylist()
         self.vocab = list(vocab)
-        self.pattern = compile_vocab_pattern(self.vocab)
         self.text_col = text_col
         self.id_cols = list(id_cols)
+
+    @functools.cached_property
+    def pattern(self) -> re.Pattern:
+        """The regex alternation, compiled on first use (the vectorized
+        ``vocab_token_hits`` scan never needs it)."""
+        return compile_vocab_pattern(self.vocab)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         texts = batch[self.text_col].to_pylist()

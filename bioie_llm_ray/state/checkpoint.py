@@ -80,6 +80,8 @@ def write_partition(
     t0 = time.perf_counter()
     ds.write_parquet(tmp)
     wall = time.perf_counter() - t0
+    # a zero-row Dataset writes no directory; the partition is still done
+    os.makedirs(tmp, exist_ok=True)
     n_rows = sum(
         _count_parquet_rows(os.path.join(tmp, f))
         for f in os.listdir(tmp)

@@ -214,3 +214,21 @@ class TestSchemaEvolution:
         assert df["score"].isna().sum() == 3  # old partition null-filled
         assert df["score"].dropna().tolist() == [0.0, 1.0]
         assert "legacy" not in df.columns
+
+
+class TestEmptyPartition:
+    def test_zero_row_partition_completes_and_is_skipped(self, tmp_path):
+        root = str(tmp_path / "ck")
+        calls = []
+
+        def build():
+            calls.append(1)
+            return _mini_ds(0).filter(lambda r: r["x"] < 0)
+
+        out1 = checkpoint.run_resumable(root, [("empty", build)])
+        assert out1["completed"] == ["empty"]
+        assert out1["manifests"]["empty"]["n_rows"] == 0
+        assert checkpoint.read_manifest(root, "empty")["n_rows"] == 0
+        out2 = checkpoint.run_resumable(root, [("empty", build)])
+        assert out2["skipped"] == ["empty"]
+        assert calls == [1]

@@ -148,3 +148,46 @@ def test_sigkill_midrun_then_resume_is_lossless(tmp_path):
         ) == m, f"{d} was rewritten on resume"
     # (b) final triples identical to the uninterrupted run
     pd.testing.assert_frame_equal(_read_triples(out_res), _read_triples(out_full))
+
+
+def test_one_cpu_session_finishes(tmp_path):
+    """Extraction must not hold the only CPU its downstream shuffle needs.
+    The second shard mentions no vocabulary term, so its partition is
+    written with zero rows."""
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    texts = [
+        ["TP53 binds MDM2 and BRCA1", "MDM2 with TP53", "no protein here"],
+        ["nothing to see", "still nothing"],
+    ]
+    paths = []
+    for i, rows in enumerate(texts):
+        p = str(docs / f"docs_{i}.parquet")
+        pq.write_table(pa.table({"content": rows}), p)
+        paths.append(p)
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("TP53\nMDM2\nBRCA1\n")
+    out = str(tmp_path / "out")
+    argv = [sys.executable, JOB, "--docs", *paths, "--out", out,
+            "--num-cpus", "1", "--vocab-file", str(vocab)]
+    p = subprocess.Popen(argv, cwd=REPO, stdout=subprocess.PIPE,
+                         stderr=subprocess.DEVNULL, text=True,
+                         start_new_session=True)
+    try:
+        stdout, _ = p.communicate(timeout=300)
+    finally:
+        if p.poll() is None:
+            os.killpg(p.pid, signal.SIGKILL)
+            p.wait(timeout=30)
+    assert p.returncode == 0, stdout
+    assert len(json.loads(stdout.strip().splitlines()[-1])["completed"]) == 2
+    n_rows = sorted(
+        json.load(open(os.path.join(out, d, "MANIFEST.json")))["n_rows"]
+        for d in _manifests(out)
+    )
+    assert n_rows == [0, 3]
+    assert set(map(tuple, _read_triples(out).values.tolist())) == {
+        ("TP53", "interacts_with", "MDM2"),
+        ("TP53", "interacts_with", "BRCA1"),
+        ("MDM2", "interacts_with", "TP53"),
+    }

@@ -177,3 +177,128 @@ class TestRehydratableActorState:
             and n.func.attr == "put"
         ]
         assert not puts
+
+
+class TestFoldedLinking:
+    """``TripleExtractor(alias_index=...)`` links inside the extraction
+    call; its output must equal extraction followed by two separate
+    ``EntityLinker`` passes, and ``extract_triples`` must never reuse a
+    per-process extractor built for other arguments."""
+
+    ALIASES = {
+        "TP53": "P04637",
+        "p53": "P04637",  # second surface form of one canonical id
+        "MDM2": "Q00987",
+        "BRCA1": "P38398",
+        "tumor protein": "P04637",
+    }
+    TEXTS = [
+        "TP53 binds MDM2 and p53.",
+        "p53 with Orphan1, BRCA1 then TP53",
+        "MDM2 alone",
+        "Orphan1 and MDM2; Orphan1 again",
+        "tumor protein meets BRCA1 and MDM2",
+    ]
+
+    def _docs(self):
+        import pyarrow as pa
+
+        return pa.table(
+            {
+                "content_sha256": [f"s{i}" for i in range(len(self.TEXTS))],
+                "content": self.TEXTS,
+            }
+        )
+
+    @staticmethod
+    def _link_after(triples, index):
+        for col in ("subj", "obj"):
+            triples = EntityLinker(
+                index, mention_col=col, out_col=col, add_linked_flag=False
+            )(triples)
+        return triples
+
+    @pytest.mark.parametrize("spaced", [False, True], ids=["vectorized", "regex"])
+    def test_equals_extract_then_link(self, spaced):
+        from bioie_llm_ray.pipelines.kg import TripleExtractor
+
+        vocab = ["TP53", "p53", "MDM2", "BRCA1", "Orphan1"]
+        if spaced:
+            vocab.append("tumor protein")  # not tokenizable: regex fallback
+        index = build_alias_index(self.ALIASES)
+        fused = TripleExtractor(vocab, alias_index=index)
+        assert (fused.vocab_arr is None) == spaced
+        docs = self._docs()
+        got = fused(docs)
+        # the vectorized path never compiles the regex alternation
+        assert ("pattern" in fused.__dict__) == spaced
+        want = self._link_after(TripleExtractor(vocab)(docs), index)
+        assert got.equals(want), (got.to_pylist(), want.to_pylist())
+        rows = set(zip(*(got[c].to_pylist() for c in ("subj", "obj"))))
+        # TP53 and p53 both link to P04637; Orphan1 keeps its normalized form
+        assert ("P04637", "Q00987") in rows
+        assert ("P04637", "P04637") in rows
+        assert ("orphan1", "Q00987") in rows
+        assert ("P04637", "P38398") in rows
+        # 'tumor protein' is a mention only on the regex path
+        s4_subj = {
+            r["subj"] for r in got.to_pylist() if r["content_sha256"] == "s4"
+        }
+        assert s4_subj == ({"P04637"} if spaced else {"P38398"})
+
+    def test_distinct_arguments_get_distinct_extractors(self):
+        from bioie_llm_ray.pipelines.kg import TripleExtractor, extract_triples
+
+        vocab = ["TP53", "MDM2", "BRCA1", "Orphan1"]
+        docs_tbl = self._docs()
+        docs = ray.data.from_arrow(docs_tbl)
+        index_a = build_alias_index(self.ALIASES)
+        index_b = {k: f"alt:{v}" for k, v in index_a.items()}
+        runs = [
+            (index_a, "interacts_with"),
+            (index_b, "interacts_with"),  # differs only in alias_index
+            (index_b, "binds"),  # differs only in relation
+            (None, "binds"),
+            (index_a, "interacts_with"),
+        ]
+        seen = []
+        for index, relation in runs:
+            out = extract_triples(
+                docs, vocab, alias_index=index, relation=relation, dedup=False
+            )
+            got = sorted(
+                (r["src_sha"], r["subj"], r["pred"], r["obj"])
+                for r in out.take_all()
+            )
+            ref = TripleExtractor(vocab, relation=relation, alias_index=index)
+            want_tbl = ref(docs_tbl)
+            want = sorted(
+                zip(*(want_tbl[c].to_pylist()
+                      for c in ("content_sha256", "subj", "pred", "obj")))
+            )
+            assert got == want, (index is index_b, relation)
+            seen.append(tuple(got))
+        assert len(set(seen[:4])) == 4
+        assert seen[4] == seen[0]
+
+    def test_digest_tracks_content_not_identity(self, tmp_path):
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from bioie_llm_ray.pipelines.kg import _state_digest
+        from bioie_llm_ray.stages.mention import ParquetState
+
+        a = _state_digest(vocab=["x", "y"], relation="r", alias_index={"x": "X"})
+        assert a == _state_digest(
+            vocab=("x", "y"), relation="r", alias_index=dict({"x": "X"})
+        )
+        assert a != _state_digest(vocab=["x", "y"], relation="r", alias_index=None)
+        path = str(tmp_path / "vocab.parquet")
+        pq.write_table(pa.table({"term": ["x", "y"]}), path)
+        before = _state_digest(
+            vocab=ParquetState(path), relation="r", alias_index=None
+        )
+        pq.write_table(pa.table({"term": ["x", "y", "zzz"]}), path)
+        assert before != _state_digest(
+            vocab=ParquetState(path), relation="r", alias_index=None
+        )
