@@ -1,6 +1,6 @@
 """Text-analysis kernels for the document pipeline (SURVEY §2.3 M1 + the
-training-data-pipeline extensions: token counting, quality scoring,
-language-ID, fingerprinting).
+training-data-pipeline extensions: token counting, language-ID,
+fingerprinting).
 
 All functions are batch-level: Arrow/numpy/pandas in, Arrow out.  Regexes are
 compiled at import; nothing loops over Python rows except where the kernel is
@@ -42,46 +42,9 @@ def whitespace_token_count(texts: pa.ChunkedArray | pa.Array) -> pa.Array:
     return pc.list_value_length(toks)
 
 
-def tokenize_batch(texts) -> list[list[str]]:
-    """Whitespace tokenization of a batch of strings (Arrow-native)."""
-    arr = pa.array(texts) if not isinstance(texts, (pa.Array, pa.ChunkedArray)) else texts
-    toks = pc.split_pattern_regex(pc.utf8_trim_whitespace(arr), pattern=r"\s+")
-    return toks.to_pylist()
-
-
 def bpe_ish_token_count(texts) -> np.ndarray:
     """Token count under the BPE-ish regex (letters / digits / punct runs)."""
     return np.array([len(_BPE_ISH.findall(t)) for t in texts], dtype=np.int64)
-
-
-def quality_features(batch: pa.Table, column: str = "text") -> pa.Table:
-    """Quality-scoring features: lengths, punctuation/stopword/alpha ratios.
-
-    All ratios are exact double divisions of integer counts, so a SQL oracle
-    computing the same counts produces bit-identical doubles.
-    """
-    texts = batch[column]
-    n_chars = pc.utf8_length(texts)
-    n_tokens = whitespace_token_count(texts)
-    # RE2 \w is ASCII [0-9A-Za-z_], matching the DuckDB oracle's classes —
-    # one vectorized count kernel instead of a Python re.findall per row
-    n_punct = pc.cast(
-        pc.count_substring_regex(texts, pattern=r"[^\w\s]"), pa.int64()
-    )
-    n_alpha = pc.cast(
-        pc.count_substring_regex(texts, pattern=r"[A-Za-z]"), pa.int64()
-    )
-    nc = pc.cast(n_chars, pa.float64())
-    out = batch.append_column("n_chars_computed", pc.cast(n_chars, pa.int64()))
-    out = out.append_column("n_tokens", pc.cast(n_tokens, pa.int64()))
-    out = out.append_column("n_punct", n_punct)
-    out = out.append_column(
-        "punct_ratio", pc.divide(pc.cast(n_punct, pa.float64()), nc)
-    )
-    out = out.append_column(
-        "alpha_ratio", pc.divide(pc.cast(n_alpha, pa.float64()), nc)
-    )
-    return out
 
 
 def detect_language(texts) -> list[str]:

@@ -2826,11 +2826,16 @@ def _mask_pair_template(mask: int, canon: tuple):
 
 def _doc_presence_masks(batch: pa.Table, varr: "pa.Array") -> np.ndarray:
     """Per-row bitmask of which vocabulary terms appear (boundary-checked)
-    in ``text`` — one vectorized Arrow scan, no per-row Python."""
+    in ``text`` — one vectorized Arrow scan, no per-row Python.  One int64
+    holds at most 63 term bits."""
     from ..stages.mention import vocab_token_hits
 
-    row, vi = vocab_token_hits(batch["text"], varr)
     v_count = len(varr)
+    if v_count > 63:
+        raise ValueError(
+            f"presence bitmasks hold at most 63 vocabulary terms, got {v_count}"
+        )
+    row, vi = vocab_token_hits(batch["text"], varr)
     distinct = np.unique(row * v_count + vi)
     masks = np.zeros(batch.num_rows, dtype=np.int64)
     np.bitwise_or.at(

@@ -218,7 +218,6 @@ def chain_entity_to_relation(
     scorer_cls,
     scorer_kwargs: dict,
     templates=None,
-    concurrency=(1, 2),
     batch_size: int = 256,
 ):
     """§3.2 stage chaining: entity-task predictions → yes/no verification.
@@ -233,54 +232,27 @@ def chain_entity_to_relation(
     """
     import pyarrow.compute as pc
 
-    from ..functions.parsing import parse_choice_response
     from ..functions.prompts import get_templates
+    from ..stages.scorer import score
+    from .tasks import _map, _pair_prompts, _parse_choices
 
     templates = templates or get_templates("default", "string")
 
     def to_prompts(batch: pa.Table) -> pa.Table:
         keep = batch.filter(pc.not_equal(batch["pred"], "NONE"))
-        p1 = keep["src"].to_pylist()
-        p2 = keep["pred"].to_pylist()
-        return pa.table(
-            {
-                "entity": pa.array(
-                    [f"{a}\x1f{b}" for a, b in zip(p1, p2)], type=pa.string()
-                ),
-                "text": pa.array(
-                    [
-                        templates.relation_q.format(e1=a, e2=b)
-                        for a, b in zip(p1, p2)
-                    ],
-                    type=pa.string(),
-                ),
-                "answer": pa.array(["yes"] * len(keep), type=pa.string()),
-            }
+        return _pair_prompts(
+            keep["src"].to_pylist(),
+            keep["pred"].to_pylist(),
+            pa.array(["yes"] * len(keep), type=pa.string()),
+            templates,
         )
 
     prompts = entity_result.map_batches(to_prompts, batch_format="pyarrow")
-    scored = prompts.map_batches(
-        scorer_cls,
-        fn_constructor_kwargs=scorer_kwargs,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+    return _map(
+        score(prompts, scorer_cls, scorer_kwargs, batch_size),
+        _parse_choices,
+        choices=["yes", "no"],
     )
-
-    def parse(batch: pa.Table) -> pa.Table:
-        preds = [
-            parse_choice_response(r, ["yes", "no"])
-            for r in batch["response"].to_pylist()
-        ]
-        return pa.table(
-            {
-                "src": batch["entity"],
-                "pred": pa.array(preds, type=pa.string()),
-                "true": batch["answer"],
-            }
-        )
-
-    return scored.map_batches(parse, batch_format="pyarrow")
 
 
 def stage_agreement(

@@ -1,8 +1,11 @@
 """The reference's four benchmark tasks as Ray Data pipelines (SURVEY §3.1).
 
 Each pipeline is: build test split (deterministic, hash-based) → prompt rows
-→ scorer actor pool → parse → align → predictions Dataset (+ triples).  The
-scorer is pluggable (MockScorer for tests/parity, HFScorer for real models).
+→ ``stages.scorer.score`` → parse → align → predictions Dataset (+ triples).
+The scorer is pluggable: ``MockScorer`` (tests/parity) runs as a plain task,
+a model scorer such as ``HFScorer`` as an actor pool.  The prompt builders,
+parsers and the predictions → triples mapping are shared kernels below;
+the tasks differ only in the arguments they pass them.
 
 Task semantics mirrored from the reference:
 
@@ -27,14 +30,19 @@ from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 from ..functions.align import sort_and_pad
 from ..functions.hashing import stable_hash_u64
-from ..functions.parsing import parse_choice_response, parse_entity_response
+from ..functions.parsing import (
+    parse_choice_response,
+    parse_containment_response,
+    parse_entity_response,
+)
 from ..functions.prompts import PromptTemplates, get_templates
 from ..schemas import INDRA_RELATION_TYPES
-from ..stages.scorer import MockScorer
+from ..stages.scorer import MockScorer, score
 
 _PAIR_SEP = "\x1f"
 
@@ -56,6 +64,204 @@ def _hash_top_n(keys: list[str], n: int) -> list[str]:
     return [keys[int(i)] for i in order[:n]]
 
 
+def _map(ds: ray.data.Dataset, fn, **fn_kwargs) -> ray.data.Dataset:
+    return ds.map_batches(fn, fn_kwargs=fn_kwargs, batch_format="pyarrow")
+
+
+# ------------------------------------------------------------ prompt builders
+
+
+def _entity_prompts(
+    batch: pa.Table, *, key_col: str, gold_col: str, keys: set,
+    template: str, prefix: str = "",
+) -> pa.Table:
+    """Rows whose ``key_col`` is in ``keys`` → generative entity prompts;
+    the answer is the sorted distinct ``gold_col`` list."""
+    batch = batch.filter(pa.array([e in keys for e in batch[key_col].to_pylist()]))
+    entities = batch[key_col].to_pylist()
+    return pa.table(
+        {
+            "entity": pa.array(entities, type=pa.string()),
+            "text": pa.array(
+                [prefix + template.format(entity=e) for e in entities],
+                type=pa.string(),
+            ),
+            "answer": pa.array(
+                [sorted(set(g)) for g in batch[gold_col].to_pylist()],
+                type=pa.list_(pa.string()),
+            ),
+        }
+    )
+
+
+def _pair_prompts(a: list[str], b: list[str], answer, templates) -> pa.Table:
+    """(a, b) pairs → yes/no relation prompts keyed ``a\\x1fb``."""
+    return pa.table(
+        {
+            "entity": pa.array(
+                [f"{x}{_PAIR_SEP}{y}" for x, y in zip(a, b)], type=pa.string()
+            ),
+            "text": pa.array(
+                [templates.relation_q.format(e1=x, e2=y) for x, y in zip(a, b)],
+                type=pa.string(),
+            ),
+            "answer": answer,
+        }
+    )
+
+
+def _type_prompts(
+    batch: pa.Table, *, template: str, choices: str, key_col: str = "entity"
+) -> pa.Table:
+    """(key, [text], answer) rows → classification prompts; ``template``
+    may use {entity}, {text} and {choices}."""
+    keys = batch[key_col].to_pylist()
+    texts = (
+        batch["text"].to_pylist()
+        if "text" in batch.column_names
+        else [None] * len(keys)
+    )
+    return pa.table(
+        {
+            "entity": pc.cast(batch[key_col], pa.string()),
+            "text": pa.array(
+                [
+                    template.format(entity=e, text=t, choices=choices)
+                    for e, t in zip(keys, texts)
+                ],
+                type=pa.string(),
+            ),
+            "answer": batch["answer"],
+        }
+    )
+
+
+# -------------------------------------------------------------------- parsers
+
+
+def _parse_entities(batch: pa.Table, *, k: int, strip_gold: bool) -> pa.Table:
+    """Entity responses → k aligned (src, pred, true) rows per query
+    (M9 parse, M12 sort-and-pad)."""
+    out = {"src": [], "pred": [], "true": []}
+    for entity, resp, gold in zip(
+        batch["entity"].to_pylist(),
+        batch["response"].to_pylist(),
+        batch["answer"].to_pylist(),
+    ):
+        if strip_gold:
+            gold = [g.strip() for g in gold]
+        pred = parse_entity_response(resp, gold)
+        pred, true = sort_and_pad(pred, gold, max_entity_list_len=k)
+        out["src"].extend([entity] * len(pred))
+        out["pred"].extend(pred)
+        out["true"].extend(true)
+    return pa.table({c: pa.array(v, type=pa.string()) for c, v in out.items()})
+
+
+def _parse_choices(
+    batch: pa.Table, *, choices: list[str], lower_true: bool = False
+) -> pa.Table:
+    """Choice responses (M10) → (src, pred, true)."""
+    true = batch["answer"]
+    if lower_true:
+        true = pa.array([t.lower() for t in true.to_pylist()], type=pa.string())
+    return pa.table(
+        {
+            "src": batch["entity"],
+            "pred": pa.array(
+                [
+                    parse_choice_response(r, choices)
+                    for r in batch["response"].to_pylist()
+                ],
+                type=pa.string(),
+            ),
+            "true": true,
+        }
+    )
+
+
+def _parse_containment(batch: pa.Table, *, choices: list[str]) -> pa.Table:
+    """Free-form responses → (src, pred, true) by choice containment after
+    removing the entity name (M11)."""
+    return pa.table(
+        {
+            "src": batch["entity"],
+            "pred": pa.array(
+                [
+                    parse_containment_response(resp, ent, choices)
+                    for resp, ent in zip(
+                        batch["response"].to_pylist(),
+                        batch["entity"].to_pylist(),
+                    )
+                ],
+                type=pa.string(),
+            ),
+            "true": batch["answer"],
+        }
+    )
+
+
+# --------------------------------------------------------- predictions → KG
+
+
+def _to_triples(
+    batch: pa.Table, *, relation: str | None, subj, obj, src_sha=None,
+    drop: str | None = None, only: str | None = None,
+) -> pa.Table:
+    """Prediction rows → (subj, pred, obj, src_sha) triples.
+
+    Keeps the rows whose ``pred`` differs from ``drop`` (the task's "no
+    prediction" sentinel), or equals ``only``.  ``subj``, ``obj`` and
+    ``src_sha`` each name a column (``"src"``/``"pred"``) or, as an int, a
+    field of the ``\\x1f``-joined ``src``; a missing ``src_sha`` is "".
+    ``relation=None`` takes the predicate from ``pred``.
+    """
+    if only is not None:
+        keep = batch.filter(pc.equal(batch["pred"], only))
+    else:
+        keep = batch.filter(pc.not_equal(batch["pred"], drop))
+
+    def column(spec, fill: str = ""):
+        if spec is None:
+            return pa.array([fill] * len(keep), type=pa.string())
+        if isinstance(spec, str):
+            return keep[spec]
+        return pc.list_element(pc.split_pattern(keep["src"], _PAIR_SEP), spec)
+
+    return pa.table(
+        {
+            "subj": column(subj),
+            "pred": column("pred") if relation is None else column(None, relation),
+            "obj": column(obj),
+            "src_sha": column(src_sha),
+        }
+    )
+
+
+def _result(predictions: ray.data.Dataset, **triples) -> TaskResult:
+    return TaskResult(predictions, _map(predictions, _to_triples, **triples))
+
+
+def _sample_pairs(
+    pos: ray.data.Dataset, neg: ray.data.Dataset, cols: list[str], n: int
+) -> pa.Table:
+    """``n`` hash-sampled pairs per side, answered 'yes' (pos) / 'no' (neg).
+
+    Distributed hash top-n never materializes a side on the driver (~11.9M
+    STRING pairs at real scale, string_processor.py:168); duplicate input
+    pairs collapse to one sampled row.
+    """
+    from ..stages.sample import distributed_hash_top_n
+
+    sides = []
+    for ds, label in ((pos, "yes"), (neg, "no")):
+        t = distributed_hash_top_n(ds, cols, n).select(cols)
+        sides.append(
+            t.append_column("answer", pa.array([label] * len(t), type=pa.string()))
+        )
+    return pa.concat_tables(sides)
+
+
 # ---------------------------------------------------------------- STRING entity
 
 
@@ -69,15 +275,12 @@ def string_entity_task(
     scorer_cls=MockScorer,
     scorer_kwargs: dict | None = None,
     templates: PromptTemplates | None = None,
-    concurrency: int | tuple[int, int] = (1, 2),
     batch_size: int = 256,
 ) -> TaskResult:
     """Generative PPI task over an adjacency Dataset (src, neighbors)."""
     templates = templates or get_templates("default", "string")
 
     # split pools with vectorized filters (M3)
-    import pyarrow.compute as pc
-
     def pool_filter(batch: pa.Table) -> pa.Table:
         n = pc.list_value_length(batch["neighbors"])
         return batch.filter(pc.greater_equal(n, min_test_list_len))
@@ -113,66 +316,18 @@ def string_entity_task(
         ]
         shot_prefix = build_shot_prefix(templates, "entity", shots)
 
-    def format_prompts(batch: pa.Table) -> pa.Table:
-        mask = pa.array([s in test_keys for s in batch["src"].to_pylist()])
-        batch = batch.filter(mask)
-        entities = batch["src"].to_pylist()
-        texts = [
-            shot_prefix + templates.entity_q.format(entity=e) for e in entities
-        ]
-        answers = [sorted(set(v)) for v in batch["neighbors"].to_pylist()]
-        return pa.table(
-            {
-                "entity": pa.array(entities, type=pa.string()),
-                "text": pa.array(texts, type=pa.string()),
-                "answer": pa.array(answers, type=pa.list_(pa.string())),
-            }
-        )
-
-    prompts = adjacency.map_batches(format_prompts, batch_format="pyarrow")
-
-    scored = prompts.map_batches(
-        scorer_cls,
-        fn_constructor_kwargs=scorer_kwargs or {},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+    prompts = _map(
+        adjacency, _entity_prompts, key_col="src", gold_col="neighbors",
+        keys=test_keys, template=templates.entity_q, prefix=shot_prefix,
     )
-
-    def parse_align(batch: pa.Table) -> pa.Table:
-        out = {"src": [], "pred": [], "true": []}
-        for entity, resp, gold in zip(
-            batch["entity"].to_pylist(),
-            batch["response"].to_pylist(),
-            batch["answer"].to_pylist(),
-        ):
-            gold = [g.strip() for g in gold]
-            pred = parse_entity_response(resp, gold)
-            pred, true = sort_and_pad(pred, gold, max_entity_list_len=k)
-            out["src"].extend([entity] * len(pred))
-            out["pred"].extend(pred)
-            out["true"].extend(true)
-        return pa.table(
-            {c: pa.array(v, type=pa.string()) for c, v in out.items()}
-        )
-
-    predictions = scored.map_batches(parse_align, batch_format="pyarrow")
-
-    def to_triples(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        keep = batch.filter(pc.not_equal(batch["pred"], "NONE"))
-        return pa.table(
-            {
-                "subj": keep["src"],
-                "pred": pa.array(["interacts_with"] * len(keep), type=pa.string()),
-                "obj": keep["pred"],
-                "src_sha": pa.array([""] * len(keep), type=pa.string()),
-            }
-        )
-
-    triples = predictions.map_batches(to_triples, batch_format="pyarrow")
-    return TaskResult(predictions=predictions, triples=triples)
+    predictions = _map(
+        score(prompts, scorer_cls, scorer_kwargs, batch_size),
+        _parse_entities, k=k, strip_gold=True,
+    )
+    return _result(
+        predictions, relation="interacts_with", subj="src", obj="pred",
+        drop="NONE",
+    )
 
 
 # -------------------------------------------------------------- STRING relation
@@ -185,7 +340,6 @@ def string_relation_task(
     scorer_cls=MockScorer,
     scorer_kwargs: dict | None = None,
     templates: PromptTemplates | None = None,
-    concurrency: int | tuple[int, int] = (1, 2),
     batch_size: int = 256,
 ) -> TaskResult:
     """Yes/no pair-classification with Negatome negatives."""
@@ -209,78 +363,20 @@ def string_relation_task(
         )
 
     pos = adjacency.map_batches(explode, batch_format="pyarrow")
-
-    # distributed hash top-n: never materializes the exploded pair set on the
-    # driver (~11.9M pairs at real STRING scale, string_processor.py:168);
-    # duplicate input pairs collapse to one sampled row
-    from ..stages.sample import distributed_hash_top_n
-
-    def sample_side(ds: ray.data.Dataset, label: str) -> pa.Table:
-        t = distributed_hash_top_n(ds, ["p1", "p2"], n_pairs_per_side)
-        t = t.select(["p1", "p2"])
-        return t.append_column(
-            "answer", pa.array([label] * len(t), type=pa.string())
+    pairs = _sample_pairs(pos, negatome, ["p1", "p2"], n_pairs_per_side)
+    prompts = ray.data.from_arrow(
+        _pair_prompts(
+            pairs["p1"].to_pylist(), pairs["p2"].to_pylist(), pairs["answer"],
+            templates,
         )
-
-    pos_t = sample_side(pos, "yes")
-    neg_t = sample_side(negatome, "no")
-    pairs = ray.data.from_arrow(
-        pa.concat_tables([pos_t, neg_t])
     )
-
-    def format_prompts(batch: pa.Table) -> pa.Table:
-        p1 = batch["p1"].to_pylist()
-        p2 = batch["p2"].to_pylist()
-        texts = [templates.relation_q.format(e1=a, e2=b) for a, b in zip(p1, p2)]
-        entities = [f"{a}{_PAIR_SEP}{b}" for a, b in zip(p1, p2)]
-        return pa.table(
-            {
-                "entity": pa.array(entities, type=pa.string()),
-                "text": pa.array(texts, type=pa.string()),
-                "answer": batch["answer"],
-            }
-        )
-
-    prompts = pairs.map_batches(format_prompts, batch_format="pyarrow")
-    scored = prompts.map_batches(
-        scorer_cls,
-        fn_constructor_kwargs=scorer_kwargs or {},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+    predictions = _map(
+        score(prompts, scorer_cls, scorer_kwargs, batch_size),
+        _parse_choices, choices=["yes", "no"],
     )
-
-    def parse(batch: pa.Table) -> pa.Table:
-        preds = [
-            parse_choice_response(r, ["yes", "no"])
-            for r in batch["response"].to_pylist()
-        ]
-        return pa.table(
-            {
-                "src": batch["entity"],
-                "pred": pa.array(preds, type=pa.string()),
-                "true": batch["answer"],
-            }
-        )
-
-    predictions = scored.map_batches(parse, batch_format="pyarrow")
-
-    def to_triples(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        keep = batch.filter(pc.equal(batch["pred"], "yes"))
-        pairs_ = [s.split(_PAIR_SEP) for s in keep["src"].to_pylist()]
-        return pa.table(
-            {
-                "subj": pa.array([p[0] for p in pairs_], type=pa.string()),
-                "pred": pa.array(["interacts_with"] * len(pairs_), type=pa.string()),
-                "obj": pa.array([p[1] for p in pairs_], type=pa.string()),
-                "src_sha": pa.array([""] * len(pairs_), type=pa.string()),
-            }
-        )
-
-    triples = predictions.map_batches(to_triples, batch_format="pyarrow")
-    return TaskResult(predictions=predictions, triples=triples)
+    return _result(
+        predictions, relation="interacts_with", subj=0, obj=1, only="yes"
+    )
 
 
 # ----------------------------------------------------------------- KEGG entity
@@ -294,7 +390,6 @@ def kegg_entity_task(
     scorer_cls=MockScorer,
     scorer_kwargs: dict | None = None,
     templates: PromptTemplates | None = None,
-    concurrency: int | tuple[int, int] = (1, 2),
     batch_size: int = 256,
 ) -> TaskResult:
     """Pathway→genes generative task over the top-N dose-ranked pathways.
@@ -309,62 +404,17 @@ def kegg_entity_task(
     }
     top = {p for p, rk in rank_map.items() if rk < top_n}
 
-    def format_prompts(batch: pa.Table) -> pa.Table:
-        mask = pa.array([p in top for p in batch["pathway"].to_pylist()])
-        batch = batch.filter(mask)
-        entities = batch["pathway"].to_pylist()
-        texts = [templates.entity_q.format(entity=e) for e in entities]
-        answers = [sorted(set(g)) for g in batch["genes"].to_pylist()]
-        return pa.table(
-            {
-                "entity": pa.array(entities, type=pa.string()),
-                "text": pa.array(texts, type=pa.string()),
-                "answer": pa.array(answers, type=pa.list_(pa.string())),
-            }
-        )
-
-    prompts = pathway_genes.map_batches(format_prompts, batch_format="pyarrow")
-    scored = prompts.map_batches(
-        scorer_cls,
-        fn_constructor_kwargs=scorer_kwargs or {},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+    prompts = _map(
+        pathway_genes, _entity_prompts, key_col="pathway", gold_col="genes",
+        keys=top, template=templates.entity_q,
     )
-
-    def parse_align(batch: pa.Table) -> pa.Table:
-        out = {"src": [], "pred": [], "true": []}
-        for entity, resp, gold in zip(
-            batch["entity"].to_pylist(),
-            batch["response"].to_pylist(),
-            batch["answer"].to_pylist(),
-        ):
-            pred = parse_entity_response(resp, gold)
-            pred, true = sort_and_pad(pred, gold, max_entity_list_len=k)
-            out["src"].extend([entity] * len(pred))
-            out["pred"].extend(pred)
-            out["true"].extend(true)
-        return pa.table(
-            {c: pa.array(v, type=pa.string()) for c, v in out.items()}
-        )
-
-    predictions = scored.map_batches(parse_align, batch_format="pyarrow")
-
-    def to_triples(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        keep = batch.filter(pc.not_equal(batch["pred"], "NONE"))
-        return pa.table(
-            {
-                "subj": keep["pred"],
-                "pred": pa.array(["member_of"] * len(keep), type=pa.string()),
-                "obj": keep["src"],
-                "src_sha": pa.array([""] * len(keep), type=pa.string()),
-            }
-        )
-
-    triples = predictions.map_batches(to_triples, batch_format="pyarrow")
-    return TaskResult(predictions=predictions, triples=triples)
+    predictions = _map(
+        score(prompts, scorer_cls, scorer_kwargs, batch_size),
+        _parse_entities, k=k, strip_gold=False,
+    )
+    return _result(
+        predictions, relation="member_of", subj="pred", obj="src", drop="NONE"
+    )
 
 
 def kegg_relation_task(
@@ -375,7 +425,6 @@ def kegg_relation_task(
     scorer_cls=MockScorer,
     scorer_kwargs: dict | None = None,
     templates: PromptTemplates | None = None,
-    concurrency: int | tuple[int, int] = (1, 2),
     batch_size: int = 256,
 ) -> TaskResult:
     """Composed KEGG relation task with GENERATED negatives (the latent J4
@@ -391,8 +440,6 @@ def kegg_relation_task(
     ``membership``: Dataset (gene_id, pathway_id); the alias and
     pathway-name maps are KB-sized broadcast sides (J2).
     """
-    import pyarrow.compute as pc
-
     templates = templates or get_templates("default", "kegg")
 
     def explode_pos(batch: pa.Table) -> pa.Table:
@@ -459,79 +506,18 @@ def kegg_relation_task(
         anti=True,
     )
 
-    from ..stages.sample import distributed_hash_top_n
-
-    def sample_side(ds: ray.data.Dataset, label: str) -> pa.Table:
-        t = distributed_hash_top_n(ds, ["gene", "pathway"], n_pairs_per_side)
-        t = t.select(["gene", "pathway"])
-        return t.append_column(
-            "answer", pa.array([label] * len(t), type=pa.string())
+    pairs = _sample_pairs(pos, neg, ["gene", "pathway"], n_pairs_per_side)
+    prompts = ray.data.from_arrow(
+        _pair_prompts(
+            pairs["gene"].to_pylist(), pairs["pathway"].to_pylist(),
+            pairs["answer"], templates,
         )
-
-    pairs = ray.data.from_arrow(
-        pa.concat_tables([sample_side(pos, "yes"), sample_side(neg, "no")])
     )
-
-    def format_prompts(batch: pa.Table) -> pa.Table:
-        g = batch["gene"].to_pylist()
-        p = batch["pathway"].to_pylist()
-        return pa.table(
-            {
-                "entity": pa.array(
-                    [f"{a}{_PAIR_SEP}{b}" for a, b in zip(g, p)],
-                    type=pa.string(),
-                ),
-                "text": pa.array(
-                    [
-                        templates.relation_q.format(e1=a, e2=b)
-                        for a, b in zip(g, p)
-                    ],
-                    type=pa.string(),
-                ),
-                "answer": batch["answer"],
-            }
-        )
-
-    prompts = pairs.map_batches(format_prompts, batch_format="pyarrow")
-    scored = prompts.map_batches(
-        scorer_cls,
-        fn_constructor_kwargs=scorer_kwargs or {},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+    predictions = _map(
+        score(prompts, scorer_cls, scorer_kwargs, batch_size),
+        _parse_choices, choices=["yes", "no"],
     )
-
-    def parse(batch: pa.Table) -> pa.Table:
-        preds = [
-            parse_choice_response(r, ["yes", "no"])
-            for r in batch["response"].to_pylist()
-        ]
-        return pa.table(
-            {
-                "src": batch["entity"],
-                "pred": pa.array(preds, type=pa.string()),
-                "true": batch["answer"],
-            }
-        )
-
-    predictions = scored.map_batches(parse, batch_format="pyarrow")
-
-    def to_triples(batch: pa.Table) -> pa.Table:
-        keep = batch.filter(pc.equal(batch["pred"], "yes"))
-        parts = [s.split(_PAIR_SEP) for s in keep["src"].to_pylist()]
-        return pa.table(
-            {
-                "subj": pa.array([p[0] for p in parts], type=pa.string()),
-                "pred": pa.array(["member_of"] * len(parts), type=pa.string()),
-                "obj": pa.array([p[1] for p in parts], type=pa.string()),
-                "src_sha": pa.array([""] * len(parts), type=pa.string()),
-            }
-        )
-
-    return TaskResult(
-        predictions=predictions,
-        triples=predictions.map_batches(to_triples, batch_format="pyarrow"),
-    )
+    return _result(predictions, relation="member_of", subj=0, obj=1, only="yes")
 
 
 # ------------------------------------------------------------------ INDRA task
@@ -544,7 +530,6 @@ def indra_relation_type_task(
     scorer_cls=MockScorer,
     scorer_kwargs: dict | None = None,
     templates: PromptTemplates | None = None,
-    concurrency: int | tuple[int, int] = (1, 2),
     batch_size: int = 256,
 ) -> TaskResult:
     """6-class relation typing with per-class balanced sampling (G3)."""
@@ -599,49 +584,39 @@ def indra_relation_type_task(
         )
 
     prompts = sampled.map_batches(format_prompts, batch_format="pyarrow")
-    scored = prompts.map_batches(
-        scorer_cls,
-        fn_constructor_kwargs=scorer_kwargs or {},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+    predictions = _map(
+        score(prompts, scorer_cls, scorer_kwargs, batch_size),
+        _parse_choices, choices=choices, lower_true=True,
+    )
+    # the entity key packs (id, e1, e1 span, e2, e2 span)
+    return _result(
+        predictions, relation=None, subj=1, obj=4, src_sha=0, drop="none"
     )
 
-    def parse(batch: pa.Table) -> pa.Table:
-        preds = [
-            parse_choice_response(r, choices)
-            for r in batch["response"].to_pylist()
-        ]
-        trues = [t.lower() for t in batch["answer"].to_pylist()]
-        return pa.table(
-            {
-                "src": batch["entity"],
-                "pred": pa.array(preds, type=pa.string()),
-                "true": pa.array(trues, type=pa.string()),
-            }
-        )
 
-    predictions = scored.map_batches(parse, batch_format="pyarrow")
-
-    def to_triples(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        keep = batch.filter(pc.not_equal(batch["pred"], "none"))
-        parts = [s.split(_PAIR_SEP) for s in keep["src"].to_pylist()]
-        return pa.table(
-            {
-                "subj": pa.array([p[1] for p in parts], type=pa.string()),
-                "pred": keep["pred"],
-                "obj": pa.array([p[4] for p in parts], type=pa.string()),
-                "src_sha": pa.array([p[0] for p in parts], type=pa.string()),
-            }
-        )
-
-    triples = predictions.map_batches(to_triples, batch_format="pyarrow")
-    return TaskResult(predictions=predictions, triples=triples)
+# ------------------------------------- containment and entity_type (kbase)
 
 
-# ------------------------------------------------- containment (kbase-style)
+def _typing_task(
+    statements: ray.data.Dataset,
+    template: str,
+    choices: list[str],
+    scorer_cls,
+    scorer_kwargs: dict | None,
+    batch_size: int,
+) -> TaskResult:
+    """Classification scored by substring containment (M11), emitting
+    (entity, has_type, label) triples."""
+    prompts = _map(
+        statements, _type_prompts, template=template, choices=", ".join(choices)
+    )
+    predictions = _map(
+        score(prompts, scorer_cls, scorer_kwargs, batch_size),
+        _parse_containment, choices=choices,
+    )
+    return _result(
+        predictions, relation="has_type", subj="src", obj="pred", drop="None"
+    )
 
 
 def containment_task(
@@ -650,81 +625,18 @@ def containment_task(
     scorer_cls=MockScorer,
     scorer_kwargs: dict | None = None,
     question_template: str = "What kind of event does {entity} describe? {choices}",
-    concurrency: int | tuple[int, int] = (1, 2),
     batch_size: int = 256,
 ) -> TaskResult:
     """Containment-parse classification (the reference's kbase variant, M11).
 
-    Input rows: (id, entity, gold) — the scorer answers free-form text and
+    Input rows: (entity, answer) — the scorer answers free-form text and
     the parser scans for choice-substring containment after removing the
     entity name (base_processor.py:1309-1332).
     """
-    from ..functions.parsing import parse_containment_response
-
-    choices_str = ", ".join(choices)
-
-    def format_prompts(batch: pa.Table) -> pa.Table:
-        ents = batch["entity"].to_pylist()
-        return pa.table(
-            {
-                "entity": batch["entity"],
-                "text": pa.array(
-                    [
-                        question_template.format(entity=e, choices=choices_str)
-                        for e in ents
-                    ],
-                    type=pa.string(),
-                ),
-                "answer": batch["answer"],
-            }
-        )
-
-    prompts = statements.map_batches(format_prompts, batch_format="pyarrow")
-    scored = prompts.map_batches(
-        scorer_cls,
-        fn_constructor_kwargs=scorer_kwargs or {},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+    return _typing_task(
+        statements, question_template, choices, scorer_cls, scorer_kwargs,
+        batch_size,
     )
-
-    def parse(batch: pa.Table) -> pa.Table:
-        preds = [
-            parse_containment_response(resp, ent, choices)
-            for resp, ent in zip(
-                batch["response"].to_pylist(), batch["entity"].to_pylist()
-            )
-        ]
-        return pa.table(
-            {
-                "src": batch["entity"],
-                "pred": pa.array(preds, type=pa.string()),
-                "true": batch["answer"],
-            }
-        )
-
-    predictions = scored.map_batches(parse, batch_format="pyarrow")
-
-    def to_triples(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        keep = batch.filter(pc.not_equal(batch["pred"], "None"))
-        return pa.table(
-            {
-                "subj": keep["src"],
-                "pred": pa.array(["has_type"] * len(keep), type=pa.string()),
-                "obj": keep["pred"],
-                "src_sha": pa.array([""] * len(keep), type=pa.string()),
-            }
-        )
-
-    return TaskResult(
-        predictions=predictions,
-        triples=predictions.map_batches(to_triples, batch_format="pyarrow"),
-    )
-
-
-# --------------------------------------------- kbase entity_type (run_model)
 
 
 def entity_type_task(
@@ -733,7 +645,6 @@ def entity_type_task(
     scorer_cls=MockScorer,
     scorer_kwargs: dict | None = None,
     templates: PromptTemplates | None = None,
-    concurrency: int | tuple[int, int] = (1, 2),
     batch_size: int = 256,
 ) -> TaskResult:
     """kbase ``entity_type`` task (run_model.py:549, dispatch 563-565).
@@ -742,72 +653,10 @@ def entity_type_task(
     ``entity_type_q`` ({entity}, {text}, {choices}); the response is parsed
     by substring containment (M11, base_processor.py:1309-1332).
     """
-    from ..functions.parsing import parse_containment_response
-
     templates = templates or get_templates("default", "string")
-    choices_str = ", ".join(choices)
-
-    def format_prompts(batch: pa.Table) -> pa.Table:
-        ents = batch["entity"].to_pylist()
-        texts = batch["text"].to_pylist()
-        return pa.table(
-            {
-                "entity": batch["entity"],
-                "text": pa.array(
-                    [
-                        templates.entity_type_q.format(
-                            entity=e, text=t, choices=choices_str
-                        )
-                        for e, t in zip(ents, texts)
-                    ],
-                    type=pa.string(),
-                ),
-                "answer": batch["answer"],
-            }
-        )
-
-    prompts = statements.map_batches(format_prompts, batch_format="pyarrow")
-    scored = prompts.map_batches(
-        scorer_cls,
-        fn_constructor_kwargs=scorer_kwargs or {},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
-
-    def parse(batch: pa.Table) -> pa.Table:
-        preds = [
-            parse_containment_response(resp, ent, choices)
-            for resp, ent in zip(
-                batch["response"].to_pylist(), batch["entity"].to_pylist()
-            )
-        ]
-        return pa.table(
-            {
-                "src": batch["entity"],
-                "pred": pa.array(preds, type=pa.string()),
-                "true": batch["answer"],
-            }
-        )
-
-    predictions = scored.map_batches(parse, batch_format="pyarrow")
-
-    def to_triples(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        keep = batch.filter(pc.not_equal(batch["pred"], "None"))
-        return pa.table(
-            {
-                "subj": keep["src"],
-                "pred": pa.array(["has_type"] * len(keep), type=pa.string()),
-                "obj": keep["pred"],
-                "src_sha": pa.array([""] * len(keep), type=pa.string()),
-            }
-        )
-
-    return TaskResult(
-        predictions=predictions,
-        triples=predictions.map_batches(to_triples, batch_format="pyarrow"),
+    return _typing_task(
+        statements, templates.entity_type_q, choices, scorer_cls,
+        scorer_kwargs, batch_size,
     )
 
 
@@ -817,7 +666,6 @@ def entity_and_entity_type_task(
     scorer_cls=MockScorer,
     scorer_kwargs: dict | None = None,
     templates: PromptTemplates | None = None,
-    concurrency: int | tuple[int, int] = (1, 2),
     batch_size: int = 256,
 ) -> ray.data.Dataset:
     """kbase ``entity_and_entity_type`` open extraction (run_model.py:549,
@@ -832,35 +680,6 @@ def entity_and_entity_type_task(
     from ..functions.parsing import parse_entity_type_pairs
 
     templates = templates or get_templates("default", "string")
-    choices_str = ", ".join(choices)
-
-    import pyarrow.compute as _pc
-
-    def format_prompts(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "entity": _pc.cast(batch["doc_id"], pa.string()),
-                "text": pa.array(
-                    [
-                        templates.entity_and_entity_type_q.format(
-                            text=t, choices=choices_str
-                        )
-                        for t in batch["text"].to_pylist()
-                    ],
-                    type=pa.string(),
-                ),
-                "answer": batch["answer"],
-            }
-        )
-
-    prompts = docs.map_batches(format_prompts, batch_format="pyarrow")
-    scored = prompts.map_batches(
-        scorer_cls,
-        fn_constructor_kwargs=scorer_kwargs or {},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
 
     def parse(batch: pa.Table) -> pa.Table:
         srcs, ents, typs, hits = [], [], [], []
@@ -884,4 +703,10 @@ def entity_and_entity_type_task(
             }
         )
 
-    return scored.map_batches(parse, batch_format="pyarrow")
+    prompts = _map(
+        docs, _type_prompts, template=templates.entity_and_entity_type_q,
+        choices=", ".join(choices), key_col="doc_id",
+    )
+    return score(prompts, scorer_cls, scorer_kwargs, batch_size).map_batches(
+        parse, batch_format="pyarrow"
+    )

@@ -151,14 +151,33 @@ def _batch_shingle_hashes(
 _SIG_CHUNK = 1 << 14
 
 
+def _universal_hash(a: np.ndarray, b: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """(n_perm × len(seg)) matrix of (a·x + b) mod (2^61−1), uint64 wrap.
+
+    x mod (2^61−1) by shift-add: x = q·2^61 + r ⇒ x ≡ q + r, one
+    conditional subtract finishes (q ≤ 7 so q + r < 2M).  Exactly equal to
+    ``%`` for every uint64 x; fused in-place ops keep it one allocation +
+    one temp instead of five."""
+    vals = np.multiply(a[:, None], seg[None, :])
+    np.add(vals, b[:, None], out=vals)
+    q = np.right_shift(vals, np.uint64(61))
+    np.bitwise_and(vals, _MERSENNE, out=vals)
+    np.add(vals, q, out=vals)
+    np.subtract(vals, _MERSENNE, out=vals, where=vals >= _MERSENNE)
+    return vals
+
+
 def _bands_table(
     ids, texts, a: np.ndarray, b: np.ndarray, id_col: str,
     n_bands: int, rows_per_band: int, n_shingle: int,
 ) -> pa.Table:
     """Batch of (id, text) → LSH band rows, fully vectorized: flat shingle
     hashes (``_batch_shingle_hashes``), ONE universal-hash outer product +
-    ``np.minimum.reduceat`` per ~64k-shingle chunk (bounds the transient
-    (n_perm × T) matrix), then the per-(doc, band) md5 compaction."""
+    ``np.minimum.reduceat`` per run of whole docs with at most
+    ``_SIG_CHUNK`` shingles, then the per-(doc, band) md5 compaction.  A
+    doc longer than ``_SIG_CHUNK`` is hashed one slice at a time and folded
+    into its row with a running minimum, so the transient (n_perm × T)
+    matrix never exceeds ``_SIG_CHUNK`` columns."""
     S, soff = _batch_shingle_hashes(texts, n_shingle)
     n_docs = len(soff) - 1
     n_perm = len(a)
@@ -168,22 +187,17 @@ def _bands_table(
         d1 = d0 + 1
         while d1 < n_docs and soff[d1 + 1] - soff[d0] <= _SIG_CHUNK:
             d1 += 1
-        seg = S[soff[d0] : soff[d1]]
-        # x mod (2^61−1) by shift-add: x = q·2^61 + r ⇒ x ≡ q + r, one
-        # conditional subtract finishes (q ≤ 7 so q + r < 2M).  Exactly
-        # equal to ``%`` for every uint64 x; fused in-place ops keep it
-        # one allocation + one temp instead of five.
-        vals = np.multiply(a[:, None], seg[None, :])
-        np.add(vals, b[:, None], out=vals)
-        q = np.right_shift(vals, np.uint64(61))
-        np.bitwise_and(vals, _MERSENNE, out=vals)
-        np.add(vals, q, out=vals)
-        np.subtract(
-            vals, _MERSENNE, out=vals, where=vals >= _MERSENNE
-        )
-        sig[d0:d1] = np.minimum.reduceat(
-            vals, soff[d0 : d1] - soff[d0], axis=1
-        ).T
+        if soff[d1] - soff[d0] <= _SIG_CHUNK:
+            vals = _universal_hash(a, b, S[soff[d0] : soff[d1]])
+            sig[d0:d1] = np.minimum.reduceat(
+                vals, soff[d0 : d1] - soff[d0], axis=1
+            ).T
+        else:
+            row = sig[d0]
+            row[:] = np.iinfo(np.uint64).max
+            for s in range(soff[d0], soff[d1], _SIG_CHUNK):
+                seg = S[s : min(s + _SIG_CHUNK, soff[d1])]
+                np.minimum(row, _universal_hash(a, b, seg).min(axis=1), out=row)
         d0 = d1
     flat_bands = np.ascontiguousarray(sig).reshape(
         n_docs * n_bands, rows_per_band
@@ -226,9 +240,13 @@ def minhash_signature(text: str, a: np.ndarray, b: np.ndarray, n_shingle: int) -
     h = _token_hashes(text, n_shingle)
     if len(h) == 0:
         return np.zeros(len(a), dtype=np.uint64)
-    # (n_perm, n_shingles): universal hash then row-min
-    vals = (np.outer(a, h) + b[:, None]) % _MERSENNE
-    return vals.min(axis=1)
+    # (n_perm, n_shingles): universal hash then row-min, one _SIG_CHUNK
+    # slice of shingles at a time so a long doc stays in bounded memory
+    sig = np.full(len(a), np.iinfo(np.uint64).max, dtype=np.uint64)
+    for s in range(0, len(h), _SIG_CHUNK):
+        vals = (np.outer(a, h[s : s + _SIG_CHUNK]) + b[:, None]) % _MERSENNE
+        np.minimum(sig, vals.min(axis=1), out=sig)
+    return sig
 
 
 class MinHasher:

@@ -109,10 +109,6 @@ def grouped_agg(
     )
 
 
-# legacy private name, kept for in-repo callers
-_grouped_agg = grouped_agg
-
-
 def grouping_sets_aggregate(
     ds: ray.data.Dataset,
     keys: list[str],

@@ -1,15 +1,17 @@
-"""Scorer actor stages — the "LLM" of the pipeline (SURVEY §2.4 A1/A2).
+"""Scorer stages — the "LLM" of the pipeline (SURVEY §2.4 A1/A2).
 
 The reference loads a HF causal LLM once per process and runs batched
 ``generate`` (run_model.py:75-385, base_processor.py:121-207).  Here a scorer
 is any callable class with the contract:
 
-    __init__: load model/state once per actor (weights, KB index, tokenizer)
+    __init__: load model/state once (weights, KB index, tokenizer)
     __call__: Arrow batch in (``entity``, ``text`` prompt columns) →
               same batch + ``response`` string column out
 
-Ship it as ``ds.map_batches(ScorerCls, fn_constructor_kwargs=...,
-batch_format="pyarrow", concurrency=N, num_cpus=c[, num_gpus=g])``.
+``score`` is the one place a scorer runs over a Dataset.  ``MockScorer``
+runs as a plain task (its constructor only stores the KB); any other scorer
+class holds a model, so it runs as an autoscaling actor pool that loads the
+model once per actor.
 
 ``MockScorer`` is the deterministic vocabulary-lookup model used for tests
 and parity scoring (real LLM outputs are nondeterministic and no GPU/model
@@ -122,6 +124,44 @@ class MockScorer:
         )
 
 
+# Autoscaling bounds of a model scorer's actor pool.  It starts at one actor,
+# so a chained stage downstream always keeps a CPU.
+_MODEL_POOL = (1, 2)
+
+
+def _mock_score(batch: pa.Table, **scorer_kwargs) -> pa.Table:
+    """Task body: ``MockScorer(**scorer_kwargs)`` applied to one batch."""
+    return MockScorer(**scorer_kwargs)(batch)
+
+
+def score(
+    prompts: ray.data.Dataset,
+    scorer_cls,
+    scorer_kwargs: dict | None,
+    batch_size: int,
+) -> ray.data.Dataset:
+    """Prompt rows → the same rows plus a ``response`` column.
+
+    ``MockScorer`` runs in task-pool workers.  Any other scorer class holds
+    a model, so it runs as an actor pool that loads the model once per
+    actor.
+    """
+    if scorer_cls is MockScorer:
+        return prompts.map_batches(
+            _mock_score,
+            fn_kwargs=scorer_kwargs or {},
+            batch_format="pyarrow",
+            batch_size=batch_size,
+        )
+    return prompts.map_batches(
+        scorer_cls,
+        fn_constructor_kwargs=scorer_kwargs or {},
+        batch_format="pyarrow",
+        batch_size=batch_size,
+        concurrency=_MODEL_POOL,
+    )
+
+
 from dataclasses import dataclass, field
 
 
@@ -219,12 +259,13 @@ class HFScorer:
 
     One actor = the reference's load-once-per-process model setup
     (run_model.py:638-651) + batched generate → prompt-length slice → decode
-    loop (M7/M8, base_processor.py:169-203):
+    loop (M7/M8, base_processor.py:169-203).  Every task takes it the same
+    way, and ``score`` runs it as an actor pool:
 
-        ds.map_batches(HFScorer, fn_constructor_kwargs={
-                           "model_id": ..., "max_new_tokens": 128},
-                       batch_format="pyarrow", concurrency=n_gpus,
-                       num_gpus=1, batch_size=16)
+        tasks.string_entity_task(adjacency, scorer_cls=HFScorer,
+                                 scorer_kwargs={"model_id": ...,
+                                                "max_new_tokens": 128},
+                                 batch_size=16)
 
     The per-family load matrix (padding side, pad/bos/eos ids, extra tokens,
     quantization, device_map — run_model.py:75-385) is ``HF_LOAD_SPECS``,

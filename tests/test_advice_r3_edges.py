@@ -226,3 +226,15 @@ class TestRound4ReviewEdges:
 
         with _pytest.raises(ValueError, match="at least one column"):
             bucket_ids_for_columns([], 8)
+
+    def test_presence_masks_reject_more_than_63_terms(self):
+        """A 64th vocabulary term would shift past the int64 sign bit and
+        silently corrupt every mask; it is a loud ValueError instead."""
+        from bioie_llm_ray.pipelines.analytics import _doc_presence_masks
+
+        batch = pa.table({"text": ["T0 binds T1", "T62 alone"]})
+        terms = [f"T{i}" for i in range(64)]
+        masks = _doc_presence_masks(batch, pa.array(sorted(terms[:63])))
+        assert (masks > 0).all()
+        with pytest.raises(ValueError, match="at most 63"):
+            _doc_presence_masks(batch, pa.array(sorted(terms)))

@@ -98,7 +98,6 @@ class TestEntityTypeTask:
                 "key_col": "text",
             },
             templates=templates,
-            concurrency=1,
         )
         rows_out = res.predictions.take_all()
         assert rows_out[0]["pred"] == "growth"

@@ -1477,3 +1477,56 @@ class TestBatchVectorizedMinhash:
             }
         )
         assert got.equals(want)
+
+    @pytest.mark.parametrize("chunk", [7, 1 << 14])
+    def test_long_doc_sliced_equals_unsliced(self, monkeypatch, chunk):
+        """A doc longer than ``_SIG_CHUNK`` is hashed one slice at a time;
+        its bands, its neighbours' bands and its ``minhash_signature``
+        equal one unsliced pass."""
+        from bioie_llm_ray.stages import neardup
+
+        rng = np.random.RandomState(3)
+        long_doc = " ".join(f"w{i}" for i in rng.randint(0, 3000, 2 * chunk + 5))
+        texts = pa.array(["short doc here", long_doc, "tiny", "", long_doc[:200]])
+        a, b = neardup._minhash_params(64)
+        args = (list(range(5)), texts, a, b, "doc_id", 16, 4, 3)
+        monkeypatch.setattr(neardup, "_SIG_CHUNK", chunk)
+        sliced = neardup._bands_table(*args)
+        sliced_sig = neardup.minhash_signature(long_doc, a, b, 3)
+        monkeypatch.setattr(neardup, "_SIG_CHUNK", 1 << 40)
+        assert sliced.equals(neardup._bands_table(*args))
+        assert np.array_equal(
+            sliced_sig, neardup.minhash_signature(long_doc, a, b, 3)
+        )
+
+    def test_long_doc_peak_rss_is_bounded(self):
+        """One 8 MB doc through ``_bands_table`` raised peak RSS by about
+        1.5 GiB when a whole doc was hashed in one (n_perm × shingles)
+        matrix; the sliced kernel must stay under a quarter of that."""
+        import os
+        import subprocess
+        import sys
+        import textwrap
+
+        code = textwrap.dedent(
+            """
+            import resource
+            import numpy as np
+            import pyarrow as pa
+            from bioie_llm_ray.stages.neardup import _bands_table, _minhash_params
+            rng = np.random.RandomState(0)
+            block = " ".join(f"w{i}" for i in rng.randint(0, 5000, 20000)) + " "
+            texts = pa.array([block * (8_000_000 // len(block))])
+            a, b = _minhash_params(64)
+            base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            _bands_table([0], texts, a, b, "doc_id", 16, 4, 3)
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print((peak - base) // 1024)
+            """
+        )
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", code], cwd=repo, capture_output=True,
+            text=True, timeout=300, check=True,
+        )
+        assert int(out.stdout.split()[-1]) <= 1572 // 4, out.stdout

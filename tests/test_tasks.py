@@ -1,6 +1,12 @@
 """E2E task pipelines with MockScorer: metric parity and triple P/R gate."""
 
+import contextlib
+import json
+import logging
 import os
+import signal
+import subprocess
+import sys
 
 import pytest
 import ray
@@ -10,6 +16,7 @@ from bioie_llm_ray.functions.metrics import metrics_from_predictions
 from bioie_llm_ray.pipelines import tasks
 from bioie_llm_ray.pipelines.evaluate import triple_prf
 from bioie_llm_ray.sources import readers
+from bioie_llm_ray.stages.scorer import MockScorer
 
 PAIR_SEP = "\x1f"
 
@@ -270,3 +277,132 @@ class TestConsensus:
         out = unanimous_consensus({"m1": a, "m2": b})
         rows = out.take_all()
         assert [r["src"] for r in rows] == ["x"]
+
+
+@contextlib.contextmanager
+def _executed_plans():
+    """Collect the physical plan Ray Data logs for each executed Dataset."""
+    plans = []
+
+    class Grab(logging.Handler):
+        def emit(self, record):
+            msg = record.getMessage()
+            if msg.startswith("Execution plan of Dataset"):
+                plans.append(msg)
+
+    log = logging.getLogger("ray.data._internal.execution.streaming_executor")
+    handler, level = Grab(), log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        yield plans
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
+class TestScorerPaths:
+    def test_mock_scorer_runs_as_task(self, kb_env):
+        _, kb, adjacency = kb_env
+        with _executed_plans() as plans:
+            tasks.string_entity_task(
+                adjacency,
+                test_size=10,
+                n_shots=1,
+                scorer_kwargs={"kind": "entity", "kb": kb.adjacency},
+            ).predictions.materialize()
+        assert any("MapBatches(_mock_score)" in p for p in plans), plans
+        assert not any("ActorPool" in p for p in plans), plans
+
+    def test_model_scorer_runs_as_actor_pool(self, kb_env):
+        # defined here so that Ray ships the class by value to its workers,
+        # which cannot import this test module
+        class ModelScorer:
+            """Stands in for a model scorer such as ``HFScorer``: MockScorer's
+            answers from a class that is not ``MockScorer``."""
+
+            def __init__(self, **kwargs):
+                self.mock = MockScorer(**kwargs)
+
+            def __call__(self, batch):
+                return self.mock(batch)
+
+        base, kb, adjacency = kb_env
+        pos_pairs = {
+            f"{min(a, b)}{PAIR_SEP}{max(a, b)}"
+            for a, nbrs in kb.adjacency.items()
+            for b in nbrs
+        }
+        negatome = readers.read_negatome(os.path.join(base, "STRING/negatome.csv"))
+        kwargs = {"kind": "relation", "kb": pos_pairs, "flip_rate": 0.1}
+
+        def predictions(scorer_cls):
+            res = tasks.string_relation_task(
+                adjacency, negatome, n_pairs_per_side=20,
+                scorer_cls=scorer_cls, scorer_kwargs=kwargs,
+            )
+            return sorted(
+                (r["src"], r["pred"], r["true"])
+                for r in res.predictions.take_all()
+            )
+
+        with _executed_plans() as plans:
+            pooled = predictions(ModelScorer)
+        assert any(
+            "ActorPoolMapOperator[" in p and "MapBatches(ModelScorer)" in p
+            for p in plans
+        ), plans
+        assert len(pooled) == 40
+        assert pooled == predictions(MockScorer)
+
+
+ONE_CPU_SCRIPT = """
+import json, os, sys
+import ray
+from bioie_llm_ray import fixtures
+from bioie_llm_ray.pipelines import tasks
+from bioie_llm_ray.sources import readers
+
+base = sys.argv[1]
+kb = fixtures.write_all(base, n_docs=20)
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+info = readers.read_protein_info(os.path.join(base, "STRING/protein.info.txt"))
+id2n = {r["string_protein_id"]: r["preferred_name"] for r in info.take_all()}
+links = readers.read_protein_links(os.path.join(base, "STRING/protein.links.txt"))
+adjacency = readers.edges_to_adjacency(readers.build_edges(links, id2n))
+entity = tasks.string_entity_task(
+    adjacency, test_size=10, n_shots=1,
+    scorer_kwargs={"kind": "entity", "kb": kb.adjacency, "miss_rate": 0.0},
+)
+labels = {s["id"]: s["rel_type"] for split in kb.indra.values() for s in split}
+indra = tasks.indra_relation_type_task(
+    readers.read_indra_statements(os.path.join(base, "INDRA/test.json")),
+    per_class=2,
+    scorer_kwargs={"kind": "relation_type", "kb": labels, "flip_rate": 0.0},
+)
+print(json.dumps({"entity": entity.predictions.count(),
+                  "indra": indra.triples.count()}))
+"""
+
+
+def test_one_cpu_session_finishes(tmp_path):
+    """The scoring stage must not hold the only CPU that the stages around
+    it need."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    p = subprocess.Popen(
+        [sys.executable, "-c", ONE_CPU_SCRIPT, str(tmp_path)], cwd=repo,
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        start_new_session=True,
+    )
+    try:
+        stdout, _ = p.communicate(timeout=240)
+    finally:
+        if p.poll() is None:
+            os.killpg(p.pid, signal.SIGKILL)
+            p.wait(timeout=30)
+    assert p.returncode == 0, stdout
+    assert json.loads(stdout.strip().splitlines()[-1]) == {
+        "entity": 100,
+        "indra": 12,
+    }

@@ -86,8 +86,13 @@ def amplify_table(src: str, dst: str, table: str, factor: int) -> int:
             flat = pc.list_flatten(emb).to_numpy(zero_copy_only=False)
             rng = np.random.RandomState(1000 + i)
             flat = (flat + rng.normal(0, 0.3, len(flat))).astype(np.float32)
-            off = emb.offsets
-            noised = pa.ListArray.from_arrays(off, pa.array(flat, pa.float32()))
+            values = pa.array(flat, pa.float32())
+            if pa.types.is_fixed_size_list(emb.type):
+                noised = pa.FixedSizeListArray.from_arrays(
+                    values, emb.type.list_size
+                )
+            else:
+                noised = pa.ListArray.from_arrays(emb.offsets, values)
             r = r.set_column(
                 r.column_names.index("embedding"), "embedding", noised
             )
