@@ -56,7 +56,12 @@ _PARQUET_EXPANSION = 4  # compressed parquet → Arrow heap, conservative
 def n_buckets_for_bytes(nbytes: int, floor: int = 16, cap: int = 1 << 16) -> int:
     """Bucket count for one keyed exchange over ``nbytes`` of input:
     ceil(in-memory bytes / _BYTES_PER_BUCKET), floored at the tuned
-    small-scale constant, capped at 65536 (beyond that, split the job)."""
+    small-scale constant, capped at 65536 (beyond that, split the job).
+
+    With ``floor=1`` an input whose in-memory estimate fits one bucket (a
+    parquet file of at most 16 MiB) gets B = 1, which
+    ``stages.exchange.keyed_exchange`` runs as one task with no exchange;
+    one task then holds no more input than one bucket already may."""
     need = -(-int(nbytes) * _PARQUET_EXPANSION // _BYTES_PER_BUCKET)
     return int(min(cap, max(floor, need)))
 
@@ -66,12 +71,30 @@ def _nb(sf_dir: str, table: str, floor: int = 16) -> int:
     ``table`` — the groupby/map_groups analogue of ``_read``'s byte-sized
     blocks.  Derived tables (pairs, candidates) use the driving input table
     as the proxy; it is the scaling variable even when the exchange payload
-    is wider or narrower than the raw rows."""
+    is wider or narrower than the raw rows.  ``floor=1`` lets a table that
+    fits one bucket skip the exchange (see ``n_buckets_for_bytes``)."""
     try:
         nbytes = os.path.getsize(os.path.join(sf_dir, f"{table}.parquet"))
     except OSError:
         return floor
     return n_buckets_for_bytes(nbytes, floor=floor)
+
+
+def _empty_frame(**dtypes: str) -> pd.DataFrame:
+    """Zero rows with the declared columns and dtypes.
+
+    ``Dataset.to_pandas()`` drops the schema when every block is empty, and
+    oracle checks such as ``tools/check_oracle.py`` compare column names, so
+    empty results pin their shape."""
+    return pd.DataFrame({c: pd.Series(dtype=t) for c, t in dtypes.items()})
+
+
+def _sorted_pairs(out: pd.DataFrame, score: str) -> pd.DataFrame:
+    """(id_a, id_b, score) pairs sorted by ids, score rounded to 6 places."""
+    if not len(out):
+        return _empty_frame(id_a="int64", id_b="int64", **{score: "float64"})
+    out[score] = out[score].round(6)
+    return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
 
 def _read(
@@ -827,9 +850,11 @@ def doc_dedup_exact(sf_dir: str) -> pd.DataFrame:
             "doc_id": ("doc_id", "min"),
             "n_copies": ("doc_id", "count"),
         },
-        n_buckets=_nb(sf_dir, "documents", 16),
+        n_buckets=_nb(sf_dir, "documents", floor=1),
         partial=True,
     ).to_pandas()
+    if not len(out):
+        return _empty_frame(doc_id="int64", text_sha256="object", n_copies="int64")
     return out.sort_values("doc_id").reset_index(drop=True)[
         ["doc_id", "text_sha256", "n_copies"]
     ]
@@ -3243,20 +3268,20 @@ def dedup_minhash(
     from ..stages.neardup import minhash_lsh_candidates, verify_jaccard_pairs_join
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    cand = minhash_lsh_candidates(ds, text_col="text", id_col="doc_id")
+    nb = _nb(sf_dir, "documents", floor=1)
+    cand = minhash_lsh_candidates(
+        ds, text_col="text", id_col="doc_id", n_hash_buckets=nb
+    )
     verified = verify_jaccard_pairs_join(
         cand,
         ds,
         threshold=0.5,
         id_col="doc_id",
         text_col="text",
+        n_buckets=nb,
         max_broadcast_ids=max_broadcast_ids,
     )
-    out = verified.to_pandas()
-    if len(out):
-        out["jaccard"] = out["jaccard"].round(6)
-        out = out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
-    return out
+    return _sorted_pairs(verified.to_pandas(), "jaccard")
 
 
 def embedding_clusters(sf_dir: str) -> pd.DataFrame:
@@ -3318,13 +3343,12 @@ def dedup_jaccard(sf_dir: str, threshold: float = 0.5) -> pd.DataFrame:
     from ..stages.neardup import ngram_jaccard_pairs
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    nb = _nb(sf_dir, "documents", floor=1)
     out = ngram_jaccard_pairs(
-        ds, threshold=threshold, id_col="doc_id", text_col="text"
+        ds, threshold=threshold, id_col="doc_id", text_col="text",
+        n_hash_buckets=nb, n_buckets=nb,
     ).to_pandas()
-    if len(out):
-        out["jaccard"] = out["jaccard"].round(6)
-        out = out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
-    return out
+    return _sorted_pairs(out, "jaccard")
 
 
 def dedup_components(sf_dir: str, threshold: float = 0.5) -> pd.DataFrame:
@@ -3339,10 +3363,14 @@ def dedup_components(sf_dir: str, threshold: float = 0.5) -> pd.DataFrame:
     from ..stages.neardup import ngram_jaccard_pairs
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    nb = _nb(sf_dir, "documents", floor=1)
     pairs = ngram_jaccard_pairs(
-        ds, threshold=threshold, id_col="doc_id", text_col="text"
+        ds, threshold=threshold, id_col="doc_id", text_col="text",
+        n_hash_buckets=nb, n_buckets=nb,
     )
     out = connected_components(pairs).to_pandas()
+    if not len(out):
+        return _empty_frame(node="int64", component="int64")
     return out.sort_values("node").reset_index(drop=True)
 
 
@@ -3350,7 +3378,12 @@ def dedup_simhash(sf_dir: str) -> pd.DataFrame:
     from ..stages.neardup import simhash_dedup
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    out = simhash_dedup(ds, text_col="text", id_col="doc_id").to_pandas()
+    out = simhash_dedup(
+        ds, text_col="text", id_col="doc_id",
+        n_hash_buckets=_nb(sf_dir, "documents", floor=1),
+    ).to_pandas()
+    if not len(out):
+        return _empty_frame(doc_id="int64", simhash="int64")
     return (
         out[["doc_id", "simhash"]].sort_values("doc_id").reset_index(drop=True)
     )
@@ -3362,20 +3395,7 @@ def embedding_neardup(sf_dir: str) -> pd.DataFrame:
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     dim = len(ds.take(1)[0]["embedding"])
     out = embedding_neardup_pairs(ds, dim=dim, threshold=0.9).to_pandas()
-    if len(out):
-        out["cosine"] = out["cosine"].round(6)
-        out = out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
-    else:
-        # Dataset.to_pandas() drops the schema when every block is empty;
-        # the driver compares column names, so pin the declared shape.
-        out = pd.DataFrame(
-            {
-                "id_a": pd.Series(dtype="int64"),
-                "id_b": pd.Series(dtype="int64"),
-                "cosine": pd.Series(dtype="float64"),
-            }
-        )
-    return out
+    return _sorted_pairs(out, "cosine")
 
 
 def doc_language_id(sf_dir: str) -> pd.DataFrame:

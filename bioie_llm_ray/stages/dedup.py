@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.hashing import hash_bucket
+from .exchange import keyed_exchange
 
 _KEY_SEP = "\x1f"
 _KEY_COL = "__dk"
-_BUCKET_COL = "__dbucket"
 
 
 def _add_key_column(batch: pa.Table, key_cols: list[str], out: str) -> pa.Table:
@@ -38,8 +39,6 @@ def _add_key_column(batch: pa.Table, key_cols: list[str], out: str) -> pa.Table:
             # single string key: zero-copy reuse, no per-row join loop
             return batch.append_column(out, col)
         if pa.types.is_integer(col.type):
-            import pyarrow.compute as pc
-
             return batch.append_column(out, pc.cast(col, pa.string()))
     cols = [batch[c].to_pylist() for c in key_cols]
     keys = (
@@ -48,29 +47,38 @@ def _add_key_column(batch: pa.Table, key_cols: list[str], out: str) -> pa.Table:
     return batch.append_column(out, pa.array(keys, type=pa.string()))
 
 
-def _add_key_and_bucket(
-    batch: pa.Table, key_cols: list[str], n_buckets: int, salt_col: str | None = None, n_salt: int = 0
+def _add_dedup_key(
+    batch: pa.Table, key_cols: list[str], salt_col: str | None = None, n_salt: int = 0
 ) -> pa.Table:
     batch = _add_key_column(batch, key_cols, _KEY_COL)
-    keys = batch[_KEY_COL].to_pylist()
-    if salt_col is not None:
-        # fold a salt into the key so phase-1 groups are (key, salt)
-        salt = hash_bucket(batch[salt_col].to_pylist(), n_salt)
-        keys = [f"{k}{_KEY_SEP}{s}" for k, s in zip(keys, salt)]
-        batch = batch.set_column(
-            batch.column_names.index(_KEY_COL),
-            _KEY_COL,
-            pa.array(keys, type=pa.string()),
-        )
-    return batch.append_column(
-        _BUCKET_COL, pa.array(hash_bucket(keys, n_buckets))
+    if salt_col is None:
+        return batch
+    # fold a salt into the key so phase-1 groups are (key, salt)
+    salt = pa.array(hash_bucket(batch[salt_col].to_pylist(), n_salt))
+    # a null key joins as "None", as str(None) did in the per-row build
+    keys = pc.binary_join_element_wise(
+        batch[_KEY_COL].combine_chunks(), pc.cast(salt, pa.string()), _KEY_SEP,
+        null_handling="replace", null_replacement="None",
+    )
+    return batch.set_column(batch.column_names.index(_KEY_COL), _KEY_COL, keys)
+
+
+def _key_buckets(batch: pa.Table, n_buckets: int) -> np.ndarray:
+    return hash_bucket(batch[_KEY_COL].to_pylist(), n_buckets)
+
+
+def _dedup_exchange(ds, key_cols: list[str], kernel, n_buckets: int, **salt):
+    """Key every row, run ``kernel`` per key bucket, drop the key."""
+    keyed = ds.map_batches(
+        lambda b: _add_dedup_key(b, key_cols, **salt), batch_format="pyarrow"
+    )
+    return keyed_exchange(keyed, _key_buckets, kernel, n_buckets).drop_columns(
+        [_KEY_COL]
     )
 
 
 def _first_per_key_in_bucket(group: pa.Table) -> pa.Table:
     """One vectorized dedup per bucket: keep the first row of each key."""
-    import pyarrow.compute as pc
-
     # group_by preserves no row payload — use first-occurrence indices instead
     keys = group[_KEY_COL]
     if isinstance(keys, pa.ChunkedArray):
@@ -88,15 +96,9 @@ def exact_dedup(ds, key_cols: list[str], n_buckets: int = 64):
 
     Shuffle keyed by ``hash(key) % n_buckets`` (bounded reducer count); the
     per-bucket dedup is one numpy/Arrow pass, not one call per key.
+    ``n_buckets=1`` runs that pass once over all rows, with no exchange.
     """
-    keyed = ds.map_batches(
-        lambda b: _add_key_and_bucket(b, key_cols, n_buckets),
-        batch_format="pyarrow",
-    )
-    out = keyed.groupby(_BUCKET_COL).map_groups(
-        _first_per_key_in_bucket, batch_format="pyarrow"
-    )
-    return out.drop_columns([_KEY_COL, _BUCKET_COL])
+    return _dedup_exchange(ds, key_cols, _first_per_key_in_bucket, n_buckets)
 
 
 def salted_dedup(
@@ -112,15 +114,10 @@ def salted_dedup(
     same key (e.g. the source-document sha) — its hash spreads a hot key over
     ``n_salt`` phase-1 reducers before the unsalted phase-2 dedup.
     """
-    phase1 = ds.map_batches(
-        lambda b: _add_key_and_bucket(
-            b, key_cols, n_buckets, salt_col=salt_col, n_salt=n_salt
-        ),
-        batch_format="pyarrow",
+    phase1 = _dedup_exchange(
+        ds, key_cols, _first_per_key_in_bucket, n_buckets,
+        salt_col=salt_col, n_salt=n_salt,
     )
-    phase1 = phase1.groupby(_BUCKET_COL).map_groups(
-        _first_per_key_in_bucket, batch_format="pyarrow"
-    ).drop_columns([_KEY_COL, _BUCKET_COL])
     # phase 2: ≤ n_salt rows per key remain — plain bucketed dedup
     return exact_dedup(phase1, key_cols, n_buckets=n_buckets)
 
@@ -159,13 +156,7 @@ def argmax_dedup(
     event_id)``); ties on the full order break by first-seen after a
     stable sort — make the order unique for fully deterministic output.
     """
-    import pyarrow.compute as pc
-
     order_cols = [order_col] if isinstance(order_col, str) else list(order_col)
-    keyed = ds.map_batches(
-        lambda b: _add_key_and_bucket(b, key_cols, n_buckets),
-        batch_format="pyarrow",
-    )
 
     def best_per_key(group: pa.Table) -> pa.Table:
         direction = "descending" if descending else "ascending"
@@ -176,10 +167,7 @@ def argmax_dedup(
         )
         return _first_per_key_in_bucket(group.take(order))
 
-    out = keyed.groupby(_BUCKET_COL).map_groups(
-        best_per_key, batch_format="pyarrow"
-    )
-    return out.drop_columns([_KEY_COL, _BUCKET_COL])
+    return _dedup_exchange(ds, key_cols, best_per_key, n_buckets)
 
 
 def cdc_apply(
@@ -202,8 +190,6 @@ def cdc_apply(
     arg-max, never by pre-filtering (a delete followed by a re-insert must
     resurrect the key, and an insert followed by a delete must not).
     """
-    import pyarrow.compute as pc
-
     latest = argmax_dedup(ds, key_cols, order_cols, n_buckets=n_buckets)
 
     def drop_tombstones(batch: pa.Table) -> pa.Table:

@@ -1,0 +1,60 @@
+"""The keyed exchange every bucket-kernel stage shares.
+
+A bucket kernel takes a table of rows and regroups them by its real key
+itself (a sort, an Arrow ``group_by`` or a ``np.unique``), so it never
+needs one Python call per key.  The exchange only has to bring rows that
+share a key into one call: rows are routed by ``bucket_ids(batch, B)``,
+a deterministic function of the key, and the kernel runs once per bucket.
+
+Because the kernel regroups inside the table, one call over all rows gives
+the same rows as one call per bucket.  So when the input fits one bucket
+(B == 1) there is no exchange at all: ``repartition(1)`` concatenates the
+blocks without a shuffle and a single map task runs the kernel.  On a
+warm local session that costs 10-30 ms more than a plain map, where a
+``groupby`` exchange costs about 85 ms.
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
+import pyarrow as pa
+import ray
+
+# not "__bucket": callers may carry a bucket column of their own
+_BUCKET = "__kx_bucket"
+
+
+def keyed_exchange(
+    ds: ray.data.Dataset,
+    bucket_ids: Callable[[pa.Table, int], np.ndarray],
+    kernel: Callable[[pa.Table], pa.Table],
+    n_buckets: int,
+) -> ray.data.Dataset:
+    """``kernel`` over each group of rows that share a bucket.
+
+    ``bucket_ids(batch, n_buckets)`` gives each row's bucket in
+    ``[0, n_buckets)``; rows with the same key must land in the same
+    bucket.  The kernel sees the input columns only, never the bucket id.
+    With ``n_buckets == 1`` the kernel runs once over all rows and
+    ``bucket_ids`` is never called.
+    """
+    if n_buckets == 1:
+        return ds.repartition(1).map_batches(
+            kernel, batch_format="pyarrow", batch_size=None
+        )
+
+    def add_bucket(batch: pa.Table) -> pa.Table:
+        ids = np.asarray(bucket_ids(batch, n_buckets), dtype=np.int64)
+        return batch.append_column(_BUCKET, pa.array(ids))
+
+    def per_bucket(group: pa.Table) -> pa.Table:
+        return kernel(group.drop_columns([_BUCKET]))
+
+    per_bucket.__name__ = getattr(kernel, "__name__", "per_bucket")
+    return (
+        ds.map_batches(add_bucket, batch_format="pyarrow")
+        .groupby(_BUCKET)
+        .map_groups(per_bucket, batch_format="pyarrow")
+    )

@@ -4,12 +4,15 @@ Exact dedup lives in ``stages.dedup``; this module adds the near-dup family,
 each expressed Ray-Data-first:
 
 - **MinHash + LSH**: shingle → minhash signature per batch (vectorized
-  numpy), explode to (band_id, band_hash) rows, groupby band buckets →
-  candidate pairs → verify Jaccard.  The only shuffle is the band groupby,
-  keyed by (band_id, band_hash) — naturally load-balanced.
+  numpy), explode to (band_id, band_hash) rows, regroup by band →
+  candidate pairs → verify Jaccard.  The regroup is one keyed exchange
+  (``stages.exchange``) keyed by (band_id, band_hash) — naturally
+  load-balanced — and no exchange at all when the caller's bucket count
+  is 1, i.e. when the input fits one bucket.
 - **SimHash**: 64-bit signed-projection fingerprint per doc; near-dups =
   equal fingerprints (or equal on ≥1 of 4 16-bit bands for Hamming ≤ k
-  candidates).
+  candidates).  Like MinHash, a plain task: neither holds state worth an
+  actor pool.
 - **n-gram Jaccard**: exact pairwise verification kernel used by both
   candidate generators.
 - **Embedding cosine**: near-dup over a ``list<float>`` embedding column via
@@ -29,6 +32,7 @@ import pyarrow.compute as pc
 import ray
 
 from ..functions.arrowio import from_pandas_clean
+from .exchange import keyed_exchange
 
 _MERSENNE = np.uint64((1 << 61) - 1)
 
@@ -249,42 +253,6 @@ def minhash_signature(text: str, a: np.ndarray, b: np.ndarray, n_shingle: int) -
     return sig
 
 
-class MinHasher:
-    """Actor: text → LSH band rows (id, band_id, band_hash)."""
-
-    def __init__(
-        self,
-        text_col: str = "text",
-        id_col: str = "doc_id",
-        n_perm: int = 64,
-        n_bands: int = 16,
-        n_shingle: int = 3,
-        seed: int = 42,
-    ):
-        assert n_perm % n_bands == 0
-        self.a, self.b = _minhash_params(n_perm, seed)
-        self.text_col = text_col
-        self.id_col = id_col
-        self.n_bands = n_bands
-        self.rows_per_band = n_perm // n_bands
-        self.n_shingle = n_shingle
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return _bands_table(
-            batch[self.id_col],
-            batch[self.text_col],
-            self.a,
-            self.b,
-            self.id_col,
-            self.n_bands,
-            self.rows_per_band,
-            self.n_shingle,
-        )
-
-
-import functools
-
-
 @functools.lru_cache(maxsize=8)
 def _cached_minhash_params(n_perm: int, seed: int = 42):
     return _minhash_params(n_perm, seed)
@@ -301,9 +269,7 @@ def minhash_bands_batch(
     """Stateless map_batches body: text → LSH band rows.
 
     The (a, b) permutation params rebuild from the seed in microseconds, so a
-    task pool (elastic, no actor ramp-up) beats an actor pool here; the
-    ``MinHasher`` actor class remains for configurations where signature
-    state is genuinely expensive.
+    task pool (elastic, no actor ramp-up) beats an actor pool here.
     """
     a, b = _cached_minhash_params(n_perm)
     return _bands_table(
@@ -334,64 +300,44 @@ def minhash_lsh_candidates(
     n_perm: int = 64,
     n_bands: int = 16,
     n_shingle: int = 3,
-    concurrency: int | tuple[int, int] | None = None,
+    n_hash_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Dataset → candidate near-dup pairs (id_a, id_b), id_a < id_b, distinct.
 
     Pairs are emitted per LSH bucket; a bucket of size m yields m-1 chained
     pairs (not m²/2) — enough to connect a duplicate cluster, bounded output.
 
-    Signature generation uses the STATELESS task-pool body by default: the
-    (a, b) permutation params rebuild from the seed in microseconds, and an
-    elastic task pool uses every core while a fixed actor pool idles the
-    rest (measured: 4.1 s → 1.1 s over 5k docs at 32 CPUs).  Pass
-    ``concurrency`` to use the ``MinHasher`` actor pool instead (only worth
-    it when signature state becomes genuinely expensive).
+    Signature generation is a STATELESS task: the (a, b) permutation params
+    rebuild from the seed in microseconds, and an elastic task pool uses
+    every core while a fixed actor pool idles the rest (measured: 4.1 s →
+    1.1 s over 5k docs at 32 CPUs).  Band rows regroup through one keyed
+    exchange of ``n_hash_buckets`` buckets, as does the pair dedup; 1 means
+    no exchange.
     """
-    if concurrency is None:
-        bands = ds.map_batches(
-            lambda b: minhash_bands_batch(
-                b,
-                text_col=text_col,
-                id_col=id_col,
-                n_perm=n_perm,
-                n_bands=n_bands,
-                n_shingle=n_shingle,
-            ),
-            batch_format="pyarrow",
-        )
-    else:
-        bands = ds.map_batches(
-            MinHasher,
-            fn_constructor_kwargs=dict(
-                text_col=text_col,
-                id_col=id_col,
-                n_perm=n_perm,
-                n_bands=n_bands,
-                n_shingle=n_shingle,
-            ),
-            batch_format="pyarrow",
-            concurrency=concurrency,
-        )
+    bands = ds.map_batches(
+        lambda b: minhash_bands_batch(
+            b,
+            text_col=text_col,
+            id_col=id_col,
+            n_perm=n_perm,
+            n_bands=n_bands,
+            n_shingle=n_shingle,
+        ),
+        batch_format="pyarrow",
+    )
 
     # group by hash(band_id, band_hash) % n_hash_buckets — one vectorized
     # pandas pass per hash-bucket instead of one Python call per LSH bucket
     # (LSH bucket count ~ n_bands × corpus size at scale)
-    from ..functions.hashing import hash_bucket
-
-    n_hash_buckets = 64
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
+    def band_buckets(batch: pa.Table, n: int) -> np.ndarray:
         # fully vectorized: the int64 band key is already md5-derived, so
         # one splitmix mix of (key, band_id) replaces the old per-row
         # "b|hash" string build + md5 pass
         bh = batch["band_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
         bid = batch["band_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        bucket = (
-            _splitmix64(bh + bid * np.uint64(0x9E3779B97F4A7C15))
-            % np.uint64(n_hash_buckets)
+        return (
+            _splitmix64(bh + bid * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(n)
         ).astype(np.int64)
-        return batch.append_column("__bucket", pa.array(bucket))
 
     def bucket_pairs(group: pa.Table):
         import pandas as pd
@@ -414,23 +360,27 @@ def minhash_lsh_candidates(
             out = out.astype({"id_a": df[id_col].dtype, "id_b": df[id_col].dtype})
         return from_pandas_clean(out)
 
-    pairs = (
-        bands.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
-    )
+    pairs = keyed_exchange(bands, band_buckets, bucket_pairs, n_hash_buckets)
+    return _distinct_pairs(pairs, n_hash_buckets)
+
+
+def _distinct_pairs(pairs: ray.data.Dataset, n_buckets: int) -> ray.data.Dataset:
+    """Exact dedup of (id_a, id_b) rows, keyed by the joined id pair."""
     from .dedup import exact_dedup
 
-    def to_str(batch: pa.Table) -> pa.Table:
+    def pair_key(batch: pa.Table) -> pa.Table:
         return batch.append_column(
             "_k",
-            pa.array(
-                [f"{a}|{b}" for a, b in zip(batch["id_a"].to_pylist(), batch["id_b"].to_pylist())],
-                type=pa.string(),
+            pc.binary_join_element_wise(
+                pc.cast(batch["id_a"], pa.string()),
+                pc.cast(batch["id_b"], pa.string()),
+                "|",
             ),
         )
 
-    return exact_dedup(pairs.map_batches(to_str, batch_format="pyarrow"), ["_k"]).drop_columns(["_k"])
+    return exact_dedup(
+        pairs.map_batches(pair_key, batch_format="pyarrow"), ["_k"], n_buckets
+    ).drop_columns(["_k"])
 
 
 def verify_jaccard_pairs(
@@ -529,7 +479,7 @@ def verify_jaccard_pairs_join(
         )
 
     distinct_ids = exact_dedup(
-        pairs.map_batches(both_ids, batch_format="pyarrow"), ["id"]
+        pairs.map_batches(both_ids, batch_format="pyarrow"), ["id"], n_buckets
     ).materialize()
     if distinct_ids.count() <= max_broadcast_ids:
         id_set = {str(r["id"]) for r in distinct_ids.take_all()}
@@ -654,41 +604,56 @@ def near_dedup_docs(
     )
 
 
-class SimHasher:
-    """Actor: text → 64-bit simhash fingerprint column.
+def simhash_fingerprints(texts) -> np.ndarray:
+    """uint64 simhash per doc, vectorized over the batch.
 
-    Token hashes vote per bit position weighted +1/-1; the sign pattern is
-    the fingerprint.  Identical-fingerprint rows are near-dup candidates.
+    Word-token hashes (``_token_hashes(text, 1)`` for each doc, from one
+    flat ``_batch_shingle_hashes`` array) vote +1/-1 per bit position; bit
+    b of the fingerprint is set when more than half the doc's tokens have
+    it set (a tie gives 0).  Per-doc bit counts are ``np.add.reduceat``
+    over unpacked token bits, one ``_SIG_CHUNK`` slice of tokens at a time,
+    so the (tokens × 64) temporary stays bounded for any doc length.
+    """
+    S, soff = _batch_shingle_hashes(texts, 1)
+    # every doc owns ≥ 1 hash (an empty doc hashes the empty word), so the
+    # reduceat segments below are never empty
+    ones = np.zeros((len(soff) - 1, 64), dtype=np.int32)
+    for s in range(0, len(S), _SIG_CHUNK):
+        e = min(s + _SIG_CHUNK, len(S))
+        d0 = np.searchsorted(soff, s, side="right") - 1
+        d1 = np.searchsorted(soff, e, side="left")
+        bits = np.unpackbits(
+            S[s:e].astype("<u8").view(np.uint8).reshape(-1, 8),
+            axis=1,
+            bitorder="little",
+        )
+        starts = np.maximum(soff[d0:d1], s) - s
+        ones[d0:d1] += np.add.reduceat(bits, starts, axis=0, dtype=np.int32)
+    majority = 2 * ones > np.diff(soff)[:, None]
+    packed = np.packbits(majority, axis=1, bitorder="little")
+    return packed.view("<u8").ravel().astype(np.uint64)
+
+
+class SimHasher:
+    """text → 64-bit simhash fingerprint column (``simhash_fingerprints``).
+
+    Stateless: map an instance as a plain task.  Identical-fingerprint rows
+    are near-dup candidates.
     """
 
     def __init__(self, text_col: str = "text", out_col: str = "simhash"):
         self.text_col = text_col
         self.out_col = out_col
-        self.bit_masks = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch[self.text_col].to_pylist()
-        out = np.empty(len(texts), dtype=np.uint64)
-        for i, t in enumerate(texts):
-            h = _token_hashes(t, 1)
-            if len(h) == 0:
-                out[i] = 0
-                continue
-            bits = (h[:, None] & self.bit_masks) != 0  # (n_tok, 64)
-            votes = bits.sum(axis=0) * 2 - len(h)  # +1/-1 votes
-            out[i] = np.uint64(
-                int("".join("1" if v > 0 else "0" for v in votes[::-1]), 2)
-            )
-        return batch.append_column(
-            self.out_col, pa.array(out.astype(np.int64))
-        )
+        fp = simhash_fingerprints(batch[self.text_col])
+        return batch.append_column(self.out_col, pa.array(fp.astype(np.int64)))
 
 
 def simhash_dedup(
     ds: ray.data.Dataset,
     text_col: str = "text",
     id_col: str = "doc_id",
-    concurrency: int | tuple[int, int] = 2,
     n_hash_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Keep one row per simhash fingerprint (smallest id wins).
@@ -696,24 +661,17 @@ def simhash_dedup(
     Bucket-group pattern: distinct-fingerprint cardinality ≈ corpus size,
     so shuffling one group per fingerprint would make one Python call per
     distinct document; instead group by ``hash(simhash) % B`` and run one
-    vectorized sort+dedup pass per bucket.
+    vectorized sort+dedup pass per bucket (one pass and no exchange when
+    B is 1).
     """
     from ..functions.hashing import hash_bucket
 
-    hashed = ds.map_batches(
-        SimHasher,
-        fn_constructor_kwargs={"text_col": text_col},
-        batch_format="pyarrow",
-        concurrency=concurrency,
-    )
+    hashed = ds.map_batches(SimHasher(text_col=text_col), batch_format="pyarrow")
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        keys = [str(s) for s in batch["simhash"].to_pylist()]
-        return batch.append_column(
-            "__bucket", pa.array(hash_bucket(keys, n_hash_buckets))
-        )
+    def simhash_buckets(batch: pa.Table, n: int) -> np.ndarray:
+        return hash_bucket([str(s) for s in batch["simhash"].to_pylist()], n)
 
-    def first_by_id_bucket(group: pa.Table) -> pa.Table:
+    def first_by_id(group: pa.Table) -> pa.Table:
         order = pc.sort_indices(
             group,
             sort_keys=[("simhash", "ascending"), (id_col, "ascending")],
@@ -721,15 +679,11 @@ def simhash_dedup(
         sorted_t = group.take(order)
         sims = sorted_t["simhash"].to_numpy(zero_copy_only=False)
         first = np.empty(len(sims), dtype=bool)
-        first[0] = True
+        first[:1] = True
         first[1:] = sims[1:] != sims[:-1]
-        return sorted_t.filter(pa.array(first)).drop_columns(["__bucket"])
+        return sorted_t.filter(pa.array(first))
 
-    return (
-        hashed.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(first_by_id_bucket, batch_format="pyarrow")
-    )
+    return keyed_exchange(hashed, simhash_buckets, first_by_id, n_hash_buckets)
 
 
 def simhash_neardup_pairs(
@@ -738,7 +692,6 @@ def simhash_neardup_pairs(
     id_col: str = "doc_id",
     max_hamming: int = 3,
     n_bands: int = 4,
-    concurrency: int | tuple[int, int] = 2,
     n_hash_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Near-dup candidate pairs via simhash Hamming bands, verified ≤ max_hamming.
@@ -755,14 +708,7 @@ def simhash_neardup_pairs(
     band_bits = 64 // n_bands
     band_mask = np.uint64((1 << band_bits) - 1)
 
-    hashed = ds.map_batches(
-        SimHasher,
-        fn_constructor_kwargs={"text_col": text_col},
-        batch_format="pyarrow",
-        concurrency=concurrency,
-    )
-
-    from ..functions.hashing import hash_bucket
+    hashed = ds.map_batches(SimHasher(text_col=text_col), batch_format="pyarrow")
 
     def explode_bands(batch: pa.Table) -> pa.Table:
         sigs = batch["simhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -837,25 +783,7 @@ def simhash_neardup_pairs(
         .groupby("__bucket")
         .map_groups(bucket_pairs, batch_format="pyarrow")
     )
-    from .dedup import exact_dedup
-
-    def to_str(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_k",
-            pa.array(
-                [
-                    f"{a}|{b}"
-                    for a, b in zip(
-                        batch["id_a"].to_pylist(), batch["id_b"].to_pylist()
-                    )
-                ],
-                type=pa.string(),
-            ),
-        )
-
-    return exact_dedup(
-        pairs.map_batches(to_str, batch_format="pyarrow"), ["_k"]
-    ).drop_columns(["_k"])
+    return _distinct_pairs(pairs, n_hash_buckets)
 
 
 class EmbeddingLSH:
@@ -995,25 +923,7 @@ def embedding_neardup_pairs(
         .map_groups(verify, batch_format="pyarrow")
     )
     # same pair may surface from several tables — keep one row per pair
-    from .dedup import exact_dedup
-
-    def key_col(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_k",
-            pa.array(
-                [
-                    f"{a}|{b}"
-                    for a, b in zip(
-                        batch["id_a"].to_pylist(), batch["id_b"].to_pylist()
-                    )
-                ],
-                type=pa.string(),
-            ),
-        )
-
-    return exact_dedup(
-        pairs.map_batches(key_col, batch_format="pyarrow"), ["_k"]
-    ).drop_columns(["_k"])
+    return _distinct_pairs(pairs, 64)
 
 
 def ngram_jaccard_pairs(
@@ -1049,8 +959,7 @@ def ngram_jaccard_pairs(
     boilerplate should pre-strip it (the usual AllPairs practice) — the
     exactness guarantee is on the given text.
     """
-    from ..functions.hashing import hash_bucket
-    from .dedup import exact_dedup
+    from ..functions.hashing import hash_bucket_ints
 
     if id_type is None:
         id_type = pa.int64()
@@ -1082,20 +991,10 @@ def ngram_jaccard_pairs(
 
     rows = ds.map_batches(prefix_rows, batch_format="pyarrow")
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
+    def shingle_buckets(batch: pa.Table, n: int) -> np.ndarray:
         # vectorized: the shingle is already a uniform uint64 hash — route
         # it with the int splitmix kernel, never per-row str()+md5
-        from ..functions.hashing import hash_bucket_ints
-
-        return batch.append_column(
-            "__bucket",
-            pa.array(
-                hash_bucket_ints(
-                    batch["shingle"].to_numpy(zero_copy_only=False),
-                    n_hash_buckets,
-                )
-            ),
-        )
+        return hash_bucket_ints(batch["shingle"].to_numpy(zero_copy_only=False), n)
 
     empty = pa.table(
         {"id_a": pa.array([], type=id_type), "id_b": pa.array([], type=id_type)}
@@ -1139,25 +1038,8 @@ def ngram_jaccard_pairs(
             }
         )
 
-    pairs = (
-        rows.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
-    )
-
-    def key_col(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_k",
-            pc.binary_join_element_wise(
-                pc.cast(batch["id_a"], pa.string()),
-                pc.cast(batch["id_b"], pa.string()),
-                "|",
-            ),
-        )
-
-    cand = exact_dedup(
-        pairs.map_batches(key_col, batch_format="pyarrow"), ["_k"]
-    ).drop_columns(["_k"])
+    pairs = keyed_exchange(rows, shingle_buckets, bucket_pairs, n_hash_buckets)
+    cand = _distinct_pairs(pairs, n_hash_buckets)
     return verify_jaccard_pairs_join(
         cand,
         ds,

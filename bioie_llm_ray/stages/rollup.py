@@ -26,6 +26,7 @@ import pyarrow.compute as pc
 import ray
 
 from ..functions.hashing import bucket_ids_for_column, bucket_ids_for_columns
+from .exchange import keyed_exchange
 
 _BUCKET = "__bucket"
 
@@ -56,9 +57,9 @@ def grouped_agg(
     partial: bool,
 ) -> ray.data.Dataset:
     """One distributed grouped aggregate: per-batch combiner partials, one
-    bucketed exchange, per-bucket final combine.  Global (no-key) aggregates
-    skip the exchange entirely: every batch folds to one row and a single
-    group finishes it."""
+    bucketed exchange (none when ``n_buckets == 1``), per-bucket final
+    combine.  Global (no-key) aggregates skip the exchange entirely: every
+    batch folds to one row and a single task finishes it."""
     pairs, names = _agg_pairs(aggs, partial)
     final_pairs = [(n, _REAGG[fn]) for n, (_, fn) in zip(names, aggs.values())]
 
@@ -80,21 +81,13 @@ def grouped_agg(
 
     def local(batch: pa.Table) -> pa.Table:
         if not keys:
-            g = scalar_agg(batch, pairs)
-            return g.append_column(_BUCKET, pa.array([0] * len(g)))
-        g = batch.group_by(keys).aggregate(pairs)
-        g = g.rename_columns(keys + names)
-        if keys:
-            if len(keys) == 1:
-                ids = bucket_ids_for_column(g[keys[0]], n_buckets)
-            else:
-                ids = bucket_ids_for_columns(
-                    [g[k] for k in keys], n_buckets
-                )
-            g = g.append_column(_BUCKET, pa.array(ids))
-        else:
-            g = g.append_column(_BUCKET, pa.array([0] * len(g)))
-        return g
+            return scalar_agg(batch, pairs)
+        return batch.group_by(keys).aggregate(pairs).rename_columns(keys + names)
+
+    def key_buckets(g: pa.Table, n: int):
+        if len(keys) == 1:
+            return bucket_ids_for_column(g[keys[0]], n)
+        return bucket_ids_for_columns([g[k] for k in keys], n)
 
     def combine(group: pa.Table) -> pa.Table:
         if not keys:
@@ -102,10 +95,11 @@ def grouped_agg(
         out = group.group_by(keys).aggregate(final_pairs)
         return out.rename_columns(keys + names)
 
-    return (
-        ds.map_batches(local, batch_format="pyarrow")
-        .groupby(_BUCKET)
-        .map_groups(combine, batch_format="pyarrow")
+    return keyed_exchange(
+        ds.map_batches(local, batch_format="pyarrow"),
+        key_buckets,
+        combine,
+        n_buckets if keys else 1,
     )
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import logging
+
 import pytest
 import ray
 
@@ -31,3 +34,32 @@ def sf_dir() -> str:
 @pytest.fixture(scope="session")
 def sf_dir_mid() -> str:
     return "/root/testdata/sf0.01"
+
+
+@contextlib.contextmanager
+def _executed_plans():
+    """Collect the physical plan Ray Data logs for each executed Dataset."""
+    plans = []
+
+    class Grab(logging.Handler):
+        def emit(self, record):
+            msg = record.getMessage()
+            if msg.startswith("Execution plan of Dataset"):
+                plans.append(msg)
+
+    log = logging.getLogger("ray.data._internal.execution.streaming_executor")
+    handler, level = Grab(), log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        yield plans
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
+@pytest.fixture
+def executed_plans():
+    """``with executed_plans() as plans:`` collects the plans Ray Data logs
+    for the Datasets run inside the block."""
+    return _executed_plans

@@ -1,0 +1,288 @@
+"""The keyed exchange (``stages.exchange.keyed_exchange``) and the dedup
+family built on it.
+
+- The one-bucket path (no exchange) gives the same rows as the bucketed
+  groupby for every stage that uses it.
+- At testdata scale the dedup queries run with no exchange and no actor
+  pool, and ``dedup_simhash`` finishes on a 1- and a 2-CPU session.
+- Empty results keep their declared columns.
+- The vectorized SimHash kernel equals the per-doc vote loop.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import signal
+import subprocess
+import sys
+
+import duckdb
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+import ray
+
+import __ray_entry__
+from bioie_llm_ray.functions.hashing import hash_bucket_ints
+from bioie_llm_ray.pipelines import analytics
+from bioie_llm_ray.stages.dedup import exact_dedup
+from bioie_llm_ray.stages.exchange import keyed_exchange
+from bioie_llm_ray.stages.neardup import (
+    _EMPTY_HASH,
+    _SIG_CHUNK,
+    SimHasher,
+    _token_hashes,
+    minhash_lsh_candidates,
+    ngram_jaccard_pairs,
+    simhash_dedup,
+    simhash_fingerprints,
+    verify_jaccard_pairs_join,
+)
+from bioie_llm_ray.stages.rollup import grouped_agg
+
+DEDUP_QUERIES = ["doc_dedup_exact", "dedup_minhash", "dedup_simhash", "dedup_jaccard"]
+
+
+def _docs(sf: str) -> ray.data.Dataset:
+    return ray.data.read_parquet(
+        os.path.join(sf, "documents.parquet"),
+        columns=["doc_id", "text"],
+        override_num_blocks=4,
+    )
+
+
+def _rows(ds: ray.data.Dataset) -> pd.DataFrame:
+    df = ds.to_pandas()
+    return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+def _len_keyed(sf: str) -> ray.data.Dataset:
+    # nested, so that Ray ships the function by value: workers cannot
+    # import this test module
+    def key(t: pa.Table) -> pa.Table:
+        lens = [len(x) % 17 for x in t["text"].to_pylist()]
+        return pa.table({"k": pa.array(lens, type=pa.int64()), "doc_id": t["doc_id"]})
+
+    return _docs(sf).map_batches(key, batch_format="pyarrow")
+
+
+# Each entry runs one stage with bucket count b on the corpus in sf.
+# exact_dedup keeps whichever copy of a key it meets first, so its input
+# is the text column alone: every copy of a key is then the same row.
+STAGES = {
+    "exact_dedup": lambda sf, b: exact_dedup(
+        _docs(sf).select_columns(["text"]), ["text"], b
+    ),
+    "grouped_agg": lambda sf, b: grouped_agg(
+        _len_keyed(sf),
+        keys=["k"],
+        aggs={
+            "n": ("doc_id", "count"),
+            "lo": ("doc_id", "min"),
+            "hi": ("doc_id", "max"),
+            "total": ("doc_id", "sum"),
+        },
+        n_buckets=b,
+        partial=True,
+    ),
+    "minhash_lsh_candidates": lambda sf, b: minhash_lsh_candidates(
+        _docs(sf), n_hash_buckets=b
+    ),
+    "simhash_dedup": lambda sf, b: simhash_dedup(_docs(sf), n_hash_buckets=b),
+    "ngram_jaccard_pairs": lambda sf, b: ngram_jaccard_pairs(
+        _docs(sf), threshold=0.5, n_hash_buckets=b, n_buckets=b
+    ),
+    "verify_jaccard_pairs_join[broadcast]": lambda sf, b: verify_jaccard_pairs_join(
+        minhash_lsh_candidates(_docs(sf)), _docs(sf), threshold=0.5, n_buckets=b
+    ),
+    "verify_jaccard_pairs_join[shuffle_join]": lambda sf, b: verify_jaccard_pairs_join(
+        minhash_lsh_candidates(_docs(sf)),
+        _docs(sf),
+        threshold=0.5,
+        n_buckets=b,
+        max_broadcast_ids=0,
+    ),
+}
+
+
+class TestExchangePathParity:
+    @pytest.mark.parametrize("stage", sorted(STAGES))
+    def test_one_bucket_equals_sixteen(self, stage, sf_dir_mid):
+        one = _rows(STAGES[stage](sf_dir_mid, 1))
+        sixteen = _rows(STAGES[stage](sf_dir_mid, 16))
+        assert len(one) > 0
+        pd.testing.assert_frame_equal(one, sixteen)
+
+    @pytest.mark.parametrize("n_buckets", [1, 16])
+    def test_empty_input(self, n_buckets):
+        ds = ray.data.from_arrow(pa.table({"k": pa.array([], type=pa.int64())}))
+        out = keyed_exchange(
+            ds,
+            lambda b, n: hash_bucket_ints(b["k"].to_numpy(), n),
+            lambda t: t,
+            n_buckets,
+        )
+        assert out.count() == 0
+
+    def test_one_bucket_calls_kernel_once_over_all_rows(self):
+        ds = ray.data.range(100, override_num_blocks=5)
+        out = keyed_exchange(
+            ds,
+            lambda b, n: hash_bucket_ints(b["id"].to_numpy(), n),
+            lambda t: pa.table({"rows": [t.num_rows]}),
+            1,
+        )
+        assert [r["rows"] for r in out.take_all()] == [100]
+
+
+def test_dedup_queries_run_without_exchange_or_actor_pool(executed_plans, sf_dir_mid):
+    """At testdata scale every dedup query fits one bucket: its plans hold
+    no shuffle, sort or aggregate operator and no actor pool."""
+    with executed_plans() as plans:
+        for q in DEDUP_QUERIES:
+            getattr(analytics, q)(sf_dir_mid)
+    assert any("MapBatches(SimHasher)" in p for p in plans), plans
+    for p in plans:
+        for op in ("ActorPool", "Sort", "Shuffle", "Aggregate"):
+            assert op not in p, p
+
+
+SESSION_SCRIPT = """
+import json, sys
+import ray
+ray.init(address="local", num_cpus=int(sys.argv[1]), include_dashboard=False,
+         logging_level="ERROR")
+from bioie_llm_ray.pipelines import analytics
+print(json.dumps({"rows": len(analytics.dedup_simhash(sys.argv[2]))}))
+"""
+
+
+def _oracle(sf_dir: str, query: str) -> pd.DataFrame:
+    con = duckdb.connect()
+    path = os.path.join(sf_dir, "documents.parquet")
+    con.sql(f"CREATE VIEW documents AS SELECT * FROM read_parquet('{path}')")
+    try:
+        return con.sql(__ray_entry__.oracle_sql()[query]).df()
+    finally:
+        con.close()
+
+
+@pytest.mark.parametrize("num_cpus", [1, 2])
+def test_dedup_simhash_finishes_on_small_session(num_cpus, sf_dir_mid):
+    """SimHash must not hold the CPUs that the read tasks feeding it need."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    p = subprocess.Popen(
+        [sys.executable, "-c", SESSION_SCRIPT, str(num_cpus), sf_dir_mid],
+        cwd=repo,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        stdout, _ = p.communicate(timeout=240)
+    finally:
+        # the group holds the script's whole Ray node (GCS, raylet, agents,
+        # workers): end what is left of it, whether the script hung or not
+        try:
+            os.killpg(p.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        p.wait(timeout=30)
+    assert p.returncode == 0, stdout
+    rows = json.loads(stdout.strip().splitlines()[-1])["rows"]
+    assert rows == len(_oracle(sf_dir_mid, "dedup_simhash"))
+
+
+def _write_docs(path, doc_ids, texts) -> str:
+    os.makedirs(path, exist_ok=True)
+    pq.write_table(
+        pa.table(
+            {
+                "doc_id": pa.array(doc_ids, type=pa.int64()),
+                "text": pa.array(texts, type=pa.string()),
+            }
+        ),
+        os.path.join(path, "documents.parquet"),
+    )
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def no_dup_dir(tmp_path_factory):
+    # disjoint vocabularies: no two docs share a word 3-shingle
+    texts = [" ".join(f"w{i}_{j}" for j in range(30)) for i in range(20)]
+    return _write_docs(tmp_path_factory.mktemp("nodup"), list(range(20)), texts)
+
+
+@pytest.fixture(scope="module")
+def zero_row_dir(tmp_path_factory):
+    return _write_docs(tmp_path_factory.mktemp("zerorow"), [], [])
+
+
+class TestTypedEmptyResults:
+    @pytest.mark.parametrize("query", ["dedup_minhash", "dedup_jaccard"])
+    def test_no_duplicates(self, no_dup_dir, query):
+        out = getattr(analytics, query)(no_dup_dir)
+        assert len(out) == 0
+        assert list(out.columns) == ["id_a", "id_b", "jaccard"]
+        assert list(out.columns) == list(_oracle(no_dup_dir, query).columns)
+        assert list(out.dtypes) == [np.int64, np.int64, np.float64]
+
+    @pytest.mark.parametrize("query", DEDUP_QUERIES + ["dedup_components"])
+    def test_zero_row_corpus(self, zero_row_dir, query):
+        out = getattr(analytics, query)(zero_row_dir)
+        assert len(out) == 0
+        assert list(out.columns) == list(_oracle(zero_row_dir, query).columns)
+
+
+def _simhash_loop(texts) -> list[int]:
+    """The per-doc reference: one +1/-1 vote per token and bit, bit b set
+    when its vote sum is positive."""
+    masks = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    out = []
+    for t in texts:
+        h = _token_hashes(t, 1)
+        votes = ((h[:, None] & masks) != 0).sum(axis=0) * 2 - len(h)
+        out.append(int("".join("1" if v > 0 else "0" for v in votes[::-1]), 2))
+    return out
+
+
+class TestVectorizedSimHash:
+    def test_equals_vote_loop(self):
+        rng = np.random.default_rng(7)
+        vocab = [f"v{i}" for i in range(300)]
+        texts = [
+            " ".join(rng.choice(vocab, size=int(rng.integers(1, 40))))
+            for _ in range(2000)
+        ]
+        # empty and whitespace-only docs, and one doc longer than a slice
+        # placed so that slices cut through its neighbours too
+        texts[3] = ""
+        texts[700] = "  \n\t "
+        texts[1000] = " ".join(rng.choice(vocab, size=3 * _SIG_CHUNK + 5))
+        got = simhash_fingerprints(pa.array(texts))
+        assert got.dtype == np.uint64
+        assert [int(x) for x in got] == _simhash_loop(texts)
+
+    def test_ties_and_empty_docs(self):
+        a, b = (int(_token_hashes(w, 1)[0]) for w in ("alpha", "beta"))
+        got = simhash_fingerprints(pa.array(["alpha beta", "", "alpha"]))
+        # a 1-1 vote is a tie: only bits both tokens set survive
+        assert int(got[0]) == a & b
+        # an empty doc votes with the hash of the empty word alone
+        assert int(got[1]) == int(_EMPTY_HASH)
+        assert int(got[2]) == a
+        assert [int(x) for x in got] == _simhash_loop(["alpha beta", "", "alpha"])
+
+    def test_simhasher_column(self):
+        texts = ["the quick brown fox", "", "the quick brown fox jumps"]
+        out = SimHasher()(pa.table({"doc_id": [1, 2, 3], "text": texts}))
+        assert out.column_names == ["doc_id", "text", "simhash"]
+        assert out["simhash"].type == pa.int64()
+        assert out["simhash"].to_pylist() == [
+            int(np.uint64(x).astype(np.int64)) for x in _simhash_loop(texts)
+        ]

@@ -1,8 +1,6 @@
 """E2E task pipelines with MockScorer: metric parity and triple P/R gate."""
 
-import contextlib
 import json
-import logging
 import os
 import signal
 import subprocess
@@ -279,32 +277,10 @@ class TestConsensus:
         assert [r["src"] for r in rows] == ["x"]
 
 
-@contextlib.contextmanager
-def _executed_plans():
-    """Collect the physical plan Ray Data logs for each executed Dataset."""
-    plans = []
-
-    class Grab(logging.Handler):
-        def emit(self, record):
-            msg = record.getMessage()
-            if msg.startswith("Execution plan of Dataset"):
-                plans.append(msg)
-
-    log = logging.getLogger("ray.data._internal.execution.streaming_executor")
-    handler, level = Grab(), log.level
-    log.addHandler(handler)
-    log.setLevel(logging.INFO)
-    try:
-        yield plans
-    finally:
-        log.removeHandler(handler)
-        log.setLevel(level)
-
-
 class TestScorerPaths:
-    def test_mock_scorer_runs_as_task(self, kb_env):
+    def test_mock_scorer_runs_as_task(self, kb_env, executed_plans):
         _, kb, adjacency = kb_env
-        with _executed_plans() as plans:
+        with executed_plans() as plans:
             tasks.string_entity_task(
                 adjacency,
                 test_size=10,
@@ -314,7 +290,7 @@ class TestScorerPaths:
         assert any("MapBatches(_mock_score)" in p for p in plans), plans
         assert not any("ActorPool" in p for p in plans), plans
 
-    def test_model_scorer_runs_as_actor_pool(self, kb_env):
+    def test_model_scorer_runs_as_actor_pool(self, kb_env, executed_plans):
         # defined here so that Ray ships the class by value to its workers,
         # which cannot import this test module
         class ModelScorer:
@@ -346,7 +322,7 @@ class TestScorerPaths:
                 for r in res.predictions.take_all()
             )
 
-        with _executed_plans() as plans:
+        with executed_plans() as plans:
             pooled = predictions(ModelScorer)
         assert any(
             "ActorPoolMapOperator[" in p and "MapBatches(ModelScorer)" in p
