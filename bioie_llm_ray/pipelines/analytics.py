@@ -30,6 +30,11 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..functions.hashing import sha256_hex
+from ..stages.exchange import (  # noqa: F401  (re-exported)
+    _BYTES_PER_BUCKET,
+    _PARQUET_EXPANSION,
+    n_buckets_for_bytes,
+)
 from ..stages.join import broadcast_join, shuffle_join
 
 # --------------------------------------------------------------------- helpers
@@ -43,27 +48,6 @@ from ..stages.join import broadcast_join, shuffle_join
 # yields millions of blocks, a 10 MB file yields a handful.
 _BYTES_PER_BLOCK = 8 * 1024 * 1024  # compressed parquet; ~3-5× in memory
 _MIN_BLOCKS = 2
-
-# Target in-memory bytes of keyed payload per map_groups bucket.  Each
-# bucket is ~1/B of the keyed table inside ONE task's heap, so B must grow
-# with the input: fixed constants that are fine at sf0.1 overflow a task at
-# 100×.  The floor keeps the tuned small-scale plans unchanged (more
-# buckets than data only adds empty-group scheduling overhead).
-_BYTES_PER_BUCKET = 64 * 1024 * 1024
-_PARQUET_EXPANSION = 4  # compressed parquet → Arrow heap, conservative
-
-
-def n_buckets_for_bytes(nbytes: int, floor: int = 16, cap: int = 1 << 16) -> int:
-    """Bucket count for one keyed exchange over ``nbytes`` of input:
-    ceil(in-memory bytes / _BYTES_PER_BUCKET), floored at the tuned
-    small-scale constant, capped at 65536 (beyond that, split the job).
-
-    With ``floor=1`` an input whose in-memory estimate fits one bucket (a
-    parquet file of at most 16 MiB) gets B = 1, which
-    ``stages.exchange.keyed_exchange`` runs as one task with no exchange;
-    one task then holds no more input than one bucket already may."""
-    need = -(-int(nbytes) * _PARQUET_EXPANSION // _BYTES_PER_BUCKET)
-    return int(min(cap, max(floor, need)))
 
 
 def _nb(sf_dir: str, table: str, floor: int = 16) -> int:
@@ -3079,8 +3063,10 @@ def triples_canonical(sf_dir: str) -> pd.DataFrame:
     """Canonicalized distinct triples — the flagship KG shape.
 
     One fused task stage does extract → link (canonical alias map) → pred
-    column → batch-local dedup (combiner); the only shuffles are the two
-    salted-dedup groupbys.  The variant of this pipeline for real
+    column → batch-local dedup (combiner); the canonical dedup is sized from
+    the documents table's bytes, so a table that fits one bucket gets one
+    first-per-key pass with no exchange, and a larger one the two salted
+    groupbys.  The variant of this pipeline for real
     vocabularies and alias indexes is ``pipelines.kg.extract_triples``.
     """
     from ..stages.dedup import salted_dedup
@@ -3120,7 +3106,11 @@ def triples_canonical(sf_dir: str) -> pd.DataFrame:
 
     triples = ds.map_batches(extract_link_dedup, batch_format="pyarrow")
     triples = salted_dedup(
-        triples, ["subj", "pred", "obj"], salt_col="src_sha", n_salt=8
+        triples,
+        ["subj", "pred", "obj"],
+        salt_col="src_sha",
+        n_salt=8,
+        n_buckets=_nb(sf_dir, "documents", floor=1),
     )
     out = triples.select_columns(["subj", "pred", "obj"]).to_pandas()
     return out.sort_values(["subj", "obj"]).reset_index(drop=True)

@@ -48,7 +48,7 @@ def _nbf(code_parquet: str, floor: int = 8) -> int:
     same contract as ``analytics._nb`` (floor keeps small-scale plans)."""
     import os
 
-    from .analytics import n_buckets_for_bytes
+    from ..stages.exchange import n_buckets_for_bytes
 
     try:
         nbytes = os.path.getsize(code_parquet)
@@ -535,10 +535,12 @@ def code_triples_query(docs_parquet: str, vocab: list[str]) -> pd.DataFrame:
     (subj, pred, obj).  Oracle: the fixture's serially-derived gold triples
     (``fixtures.make_docs_table`` keeps them alongside the content)."""
     from ..sources.readers import read_docs
-    from .kg import extract_triples
+    from .kg import dedup_buckets, extract_triples
 
     docs = read_docs(docs_parquet)
-    triples = extract_triples(docs, vocab=vocab, dedup=True)
+    triples = extract_triples(
+        docs, vocab=vocab, dedup=True, n_buckets=dedup_buckets(docs_parquet)
+    )
     out = (
         triples.select_columns(["subj", "pred", "obj"])
         .to_pandas()

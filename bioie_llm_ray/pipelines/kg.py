@@ -2,14 +2,19 @@
 
     read_parquet(docs) → sha256 → extract + link (one task-pool stage:
     boundary-checked vocabulary scan, alias index applied in the same
-    call) → salted canonical dedup → triples
+    call) → canonical dedup → triples
 
 The triple-emission convention mirrors the reference's STRING entity task: a
 document stating "Q interacts with A, B" yields (Q, rel, A), (Q, rel, B) —
 the first detected mention is the subject, subsequent mentions objects.
 Subject/object pairing happens inside the extraction call (one pass per
 document), so no per-document shuffle is needed; the only wide operation is
-the final dedup, salted on the source sha to defuse hub-entity keys.
+the final dedup.  Its bucket count B is sized from the input's bytes
+(``dedup_buckets``).  A shard that fits one bucket (up to 16 MiB of parquet)
+gets B = 1: one first-per-key pass in a single task, with no exchange, so a
+partition runs read → extract + link → one dedup task → write.  Salting on
+the source sha, which defuses hub-entity keys, applies only at B > 1, where
+the dedup is the two-phase salted exchange.
 
 Extraction runs as stateless tasks, not as an actor pool.  The lexicon
 state (vocabulary and linked-id arrays) is built once per worker process
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from collections import OrderedDict
 
 import pyarrow as pa
@@ -30,6 +36,7 @@ import ray
 
 from ..sources.readers import read_docs
 from ..stages.dedup import batch_local_dedup, salted_dedup
+from ..stages.exchange import n_buckets_for_bytes
 from ..stages.linker import EntityLinker
 from ..stages.mention import (
     MentionDetector,
@@ -174,6 +181,7 @@ def extract_triples(
     dedup: bool = True,
     batch_size: int = 1024,
     n_salt: int = 16,
+    n_buckets: int = 64,
 ) -> ray.data.Dataset:
     """docs (with content_sha256) → canonical (subj, pred, obj, src_sha).
 
@@ -187,6 +195,12 @@ def extract_triples(
     ``ParquetState`` pointer for big lexicons), never as ``ray.put`` refs:
     a retried task must not depend on a user object that may be lost
     (ray#53727).
+
+    ``dedup`` runs ``salted_dedup`` with ``n_buckets`` buckets (size it
+    with ``dedup_buckets``).  Salting applies only at B > 1, where a
+    batch-local combiner dedup runs first to shrink the exchange.  At
+    B = 1 the dedup is one first-per-key pass that already sees every
+    row, so there is no combiner and no exchange.
     """
     ctor = {"vocab": vocab, "relation": relation, "alias_index": alias_index}
     triples = docs.map_batches(
@@ -199,12 +213,24 @@ def extract_triples(
     # ds.schema() here — it would trigger partial execution of the pipeline.
     triples = triples.rename_columns({"content_sha256": "src_sha"})
     if dedup:
-        # combiner-style local dedup first, then the salted global dedup
-        triples = batch_local_dedup(triples, ["subj", "pred", "obj"])
+        keys = ["subj", "pred", "obj"]
+        if n_buckets > 1:
+            # combiner-style local dedup first, then the salted exchange
+            triples = batch_local_dedup(triples, keys)
         triples = salted_dedup(
-            triples, ["subj", "pred", "obj"], salt_col="src_sha", n_salt=n_salt
+            triples, keys, salt_col="src_sha", n_salt=n_salt, n_buckets=n_buckets
         )
     return triples
+
+
+def dedup_buckets(docs_path) -> int:
+    """Dedup bucket count for the docs at ``docs_path``, sized from the
+    file's bytes on disk: B = 1 up to 16 MiB (``n_buckets_for_bytes`` with
+    floor 1).  A path that is not one local file (a directory, a list, a
+    remote URI) keeps 64 buckets, since its size is not one ``getsize``."""
+    if not (isinstance(docs_path, (str, os.PathLike)) and os.path.isfile(docs_path)):
+        return 64
+    return n_buckets_for_bytes(os.path.getsize(docs_path), floor=1)
 
 
 def run_flagship(
@@ -215,6 +241,7 @@ def run_flagship(
     **kwargs,
 ) -> ray.data.Dataset:
     docs = read_docs(docs_path)
+    kwargs.setdefault("n_buckets", dedup_buckets(docs_path))
     triples = extract_triples(docs, vocab, alias_index=alias_index, **kwargs)
     if out_path is not None:
         triples.write_parquet(out_path)
@@ -233,7 +260,8 @@ def run_flagship_resumable(
 
     Each partition's manifest records the north-rule lineage fields: source
     path, vocabulary hash, model id, and per-partition metrics.  Rerunning
-    after a crash skips partitions whose MANIFEST.json exists.
+    after a crash skips partitions whose MANIFEST.json exists.  Each
+    shard's dedup is sized from that shard's bytes (``dedup_buckets``).
     """
     from ..state import checkpoint
 
@@ -244,9 +272,8 @@ def run_flagship_resumable(
     def make(path: str):
         def build() -> ray.data.Dataset:
             docs = read_docs(path)
-            return extract_triples(
-                docs, vocab, alias_index=alias_index, **kwargs
-            )
+            kw = {"n_buckets": dedup_buckets(path), **kwargs}
+            return extract_triples(docs, vocab, alias_index=alias_index, **kw)
 
         return build
 

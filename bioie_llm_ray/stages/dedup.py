@@ -9,11 +9,16 @@ triple — and two things matter:
    Python calls.  All dedups here group by ``stable_hash(key) % n_buckets``
    instead and run ONE vectorized Arrow ``group_by`` per bucket — per-key
    work stays in C.
-2. **Hot keys (TP53-style hubs) skew the shuffle.**  ``salted_dedup`` runs a
-   two-phase combine: phase 1 spreads duplicates of a key over
-   ``n_salt`` sub-buckets (each keeps one row), phase 2 dedups the ≤n_salt
-   survivors per key.  Because phase 1 already buckets by (key, salt), no
-   single reducer sees a hub's full duplicate stream.
+2. **Hot keys (TP53-style hubs) skew the shuffle.**  With B > 1 buckets
+   ``salted_dedup`` runs a two-phase combine: phase 1 spreads duplicates of
+   a key over ``n_salt`` sub-buckets (each keeps one row), phase 2 dedups
+   the ≤n_salt survivors per key.  Because phase 1 already buckets by
+   (key, salt), no single reducer sees a hub's full duplicate stream.
+
+With B = 1 (an input that fits one bucket, see
+``exchange.n_buckets_for_bytes``) there is no reducer to skew: every dedup
+here, ``salted_dedup`` included, is a single first-per-key pass in one
+task over all rows, with no exchange.
 
 ``batch_local_dedup`` is the shuffle-free combiner: duplicates co-occurring
 in a batch collapse before anything moves.
@@ -40,6 +45,13 @@ def _add_key_column(batch: pa.Table, key_cols: list[str], out: str) -> pa.Table:
             return batch.append_column(out, col)
         if pa.types.is_integer(col.type):
             return batch.append_column(out, pc.cast(col, pa.string()))
+    if all(pa.types.is_string(batch[c].type) for c in key_cols):
+        # the per-row join below in one Arrow kernel: a null joins as "None"
+        keys = pc.binary_join_element_wise(
+            *(batch[c] for c in key_cols), _KEY_SEP,
+            null_handling="replace", null_replacement="None",
+        )
+        return batch.append_column(out, keys)
     cols = [batch[c].to_pylist() for c in key_cols]
     keys = (
         [_KEY_SEP.join(map(str, vals)) for vals in zip(*cols)] if cols else []
@@ -108,12 +120,18 @@ def salted_dedup(
     n_salt: int = 16,
     n_buckets: int = 64,
 ):
-    """Two-phase exact dedup for skewed keys.
+    """Exact dedup for skewed keys: two phases at B > 1, one pass at B = 1.
 
     ``salt_col`` is any column whose value varies across duplicates of the
-    same key (e.g. the source-document sha) — its hash spreads a hot key over
-    ``n_salt`` phase-1 reducers before the unsalted phase-2 dedup.
+    same key (e.g. the source-document sha) — with ``n_buckets > 1`` its
+    hash spreads a hot key over ``n_salt`` phase-1 reducers before the
+    unsalted phase-2 dedup.  Salting applies only at B > 1: with one bucket
+    it spreads nothing, so ``n_buckets == 1`` is a single
+    ``exact_dedup(..., n_buckets=1)`` — one first-per-key pass over all rows
+    in one task, with no exchange.
     """
+    if n_buckets == 1:
+        return exact_dedup(ds, key_cols, n_buckets=1)
     phase1 = _dedup_exchange(
         ds, key_cols, _first_per_key_in_bucket, n_buckets,
         salt_col=salt_col, n_salt=n_salt,

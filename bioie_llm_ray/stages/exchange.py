@@ -12,6 +12,9 @@ the same rows as one call per bucket.  So when the input fits one bucket
 blocks without a shuffle and a single map task runs the kernel.  On a
 warm local session that costs 10-30 ms more than a plain map, where a
 ``groupby`` exchange costs about 85 ms.
+
+``n_buckets_for_bytes`` sizes B from the input's bytes, so B = 1 whenever
+the input fits one bucket.
 """
 
 from __future__ import annotations
@@ -24,6 +27,27 @@ import ray
 
 # not "__bucket": callers may carry a bucket column of their own
 _BUCKET = "__kx_bucket"
+
+# Target in-memory bytes of keyed payload per map_groups bucket.  Each
+# bucket is ~1/B of the keyed table inside ONE task's heap, so B must grow
+# with the input: fixed constants that are fine at sf0.1 overflow a task at
+# 100×.  The floor keeps the tuned small-scale plans unchanged (more
+# buckets than data only adds empty-group scheduling overhead).
+_BYTES_PER_BUCKET = 64 * 1024 * 1024
+_PARQUET_EXPANSION = 4  # compressed parquet → Arrow heap, conservative
+
+
+def n_buckets_for_bytes(nbytes: int, floor: int = 16, cap: int = 1 << 16) -> int:
+    """Bucket count for one keyed exchange over ``nbytes`` of input:
+    ceil(in-memory bytes / _BYTES_PER_BUCKET), floored at the tuned
+    small-scale constant, capped at 65536 (beyond that, split the job).
+
+    With ``floor=1`` an input whose in-memory estimate fits one bucket (a
+    parquet file of at most 16 MiB) gets B = 1, which ``keyed_exchange``
+    runs as one task with no exchange; one task then holds no more input
+    than one bucket already may."""
+    need = -(-int(nbytes) * _PARQUET_EXPANSION // _BYTES_PER_BUCKET)
+    return int(min(cap, max(floor, need)))
 
 
 def keyed_exchange(

@@ -663,13 +663,27 @@ def simhash_dedup(
     distinct document; instead group by ``hash(simhash) % B`` and run one
     vectorized sort+dedup pass per bucket (one pass and no exchange when
     B is 1).
-    """
-    from ..functions.hashing import hash_bucket
 
-    hashed = ds.map_batches(SimHasher(text_col=text_col), batch_format="pyarrow")
+    A doc with no word token (empty, whitespace-only or null text) has no
+    fingerprint and is dropped before the exchange, as the SQL oracle's
+    token filter drops it.
+    """
+    from ..functions.hashing import bucket_ids_for_column
+
+    def drop_tokenless(batch: pa.Table) -> pa.Table:
+        return batch.filter(
+            pc.not_equal(pc.utf8_trim_whitespace(batch[text_col]), "")
+        )
+
+    # filter after hashing: Ray Data skips the UDFs after a stage that
+    # empties a block, so a block emptied before SimHasher would go on
+    # without the simhash column
+    hashed = ds.map_batches(
+        SimHasher(text_col=text_col), batch_format="pyarrow"
+    ).map_batches(drop_tokenless, batch_format="pyarrow")
 
     def simhash_buckets(batch: pa.Table, n: int) -> np.ndarray:
-        return hash_bucket([str(s) for s in batch["simhash"].to_pylist()], n)
+        return bucket_ids_for_column(batch["simhash"], n)
 
     def first_by_id(group: pa.Table) -> pa.Table:
         order = pc.sort_indices(

@@ -77,7 +77,7 @@ def main(argv=None) -> int:
         import ray.data
 
         from bioie_llm_ray.functions.hashing import add_sha256_column
-        from bioie_llm_ray.pipelines.kg import extract_triples
+        from bioie_llm_ray.pipelines.kg import dedup_buckets, extract_triples
         from bioie_llm_ray.state import checkpoint
         import hashlib
 
@@ -88,7 +88,9 @@ def main(argv=None) -> int:
                 ds = ray.data.read_parquet(path)
                 ds = ds.rename_columns({args.text_col: "content"})
                 ds = ds.map_batches(add_sha256_column, batch_format="pyarrow")
-                return extract_triples(ds, vocab, relation=args.relation)
+                return extract_triples(
+                    ds, vocab, relation=args.relation, n_buckets=dedup_buckets(path)
+                )
 
             return build
 

@@ -6,7 +6,11 @@ family built on it.
 - At testdata scale the dedup queries run with no exchange and no actor
   pool, and ``dedup_simhash`` finishes on a 1- and a 2-CPU session.
 - Empty results keep their declared columns.
-- The vectorized SimHash kernel equals the per-doc vote loop.
+- The vectorized SimHash kernel equals the per-doc vote loop, and
+  ``simhash_dedup`` drops docs without a word token as its oracle does.
+- The flagship dedup: ``salted_dedup`` at B = 1 equals B = 64, the
+  vectorized dedup key equals the per-row join, and a checkpointed
+  flagship partition that fits one bucket runs with no exchange.
 """
 
 from __future__ import annotations
@@ -28,8 +32,14 @@ import ray
 import __ray_entry__
 from bioie_llm_ray.functions.hashing import hash_bucket_ints
 from bioie_llm_ray.pipelines import analytics
-from bioie_llm_ray.stages.dedup import exact_dedup
-from bioie_llm_ray.stages.exchange import keyed_exchange
+from bioie_llm_ray.pipelines.kg import dedup_buckets, run_flagship_resumable
+from bioie_llm_ray.stages.dedup import _add_key_column, exact_dedup, salted_dedup
+from bioie_llm_ray.stages.exchange import (
+    _BYTES_PER_BUCKET,
+    _PARQUET_EXPANSION,
+    keyed_exchange,
+    n_buckets_for_bytes,
+)
 from bioie_llm_ray.stages.neardup import (
     _EMPTY_HASH,
     _SIG_CHUNK,
@@ -286,3 +296,85 @@ class TestVectorizedSimHash:
         assert out["simhash"].to_pylist() == [
             int(np.uint64(x).astype(np.int64)) for x in _simhash_loop(texts)
         ]
+
+
+def test_simhash_dedup_drops_docs_without_tokens(tmp_path):
+    """An empty and a whitespace-only doc have no word token: the oracle's
+    token filter drops them, and so does ``simhash_dedup`` at any B."""
+    d = _write_docs(tmp_path, [1, 2, 3], ["alpha beta gamma", "", "  \n\t "])
+    out = analytics.dedup_simhash(d)
+    want = _oracle(d, "dedup_simhash")
+    assert len(want) == 1
+    pd.testing.assert_frame_equal(
+        out.reset_index(drop=True), want.astype(out.dtypes.to_dict())
+    )
+    sixteen = simhash_dedup(_docs(d), n_hash_buckets=16).to_pandas()
+    assert sixteen["doc_id"].tolist() == [1]
+
+
+# ------------------------------------------------------------ flagship dedup
+
+_TRIPLE = ["subj", "pred", "obj"]
+
+
+class TestFlagshipDedup:
+    def test_salted_one_bucket_equals_sixty_four_on_hub_key(self):
+        # one hub triple stated by 50 source docs, next to 30 plain triples
+        rows = [("TP53", "rel", "MDM2", f"sha{i}") for i in range(50)]
+        rows += [(f"s{i % 10}", "rel", f"o{i % 3}", f"sha{i}") for i in range(30)]
+        df = pd.DataFrame(rows, columns=_TRIPLE + ["src_sha"])
+        ds = ray.data.from_pandas(df, override_num_blocks=4)
+
+        def distinct(n_buckets: int) -> pd.DataFrame:
+            out = salted_dedup(ds, _TRIPLE, "src_sha", n_buckets=n_buckets)
+            got = out.to_pandas()
+            # each key is kept exactly once
+            assert not got.duplicated(_TRIPLE).any()
+            return got[_TRIPLE].sort_values(_TRIPLE).reset_index(drop=True)
+
+        one = distinct(1)
+        pd.testing.assert_frame_equal(one, distinct(64))
+        want = df[_TRIPLE].drop_duplicates().sort_values(_TRIPLE)
+        pd.testing.assert_frame_equal(one, want.reset_index(drop=True))
+
+    def test_string_key_equals_per_row_join(self):
+        t = pa.table(
+            {
+                "subj": pa.chunked_array([["a", None], ["c", "d\x1fe"]]),
+                "pred": pa.chunked_array([["r", "r", None], [""]]),
+                "obj": ["x", "None", None, "y"],
+            }
+        )
+        got = _add_key_column(t, _TRIPLE, "k")["k"].to_pylist()
+        cols = [t[c].to_pylist() for c in _TRIPLE]
+        assert got == ["\x1f".join(map(str, vals)) for vals in zip(*cols)]
+
+    def test_sizing_rule_splits_above_one_bucket(self, tmp_path):
+        one_bucket = _BYTES_PER_BUCKET // _PARQUET_EXPANSION
+        assert n_buckets_for_bytes(0, floor=1) == 1
+        assert n_buckets_for_bytes(one_bucket, floor=1) == 1
+        assert n_buckets_for_bytes(one_bucket + 1, floor=1) == 2
+        assert n_buckets_for_bytes(10 * one_bucket, floor=1) == 10
+        p = _write_docs(tmp_path, [1], ["TP53 MDM2"])
+        f = os.path.join(p, "documents.parquet")
+        assert dedup_buckets(f) == 1
+        # a path that is not one local file keeps the bucketed default
+        for other in (p, [f], os.path.join(p, "missing.parquet")):
+            assert dedup_buckets(other) == 64
+
+    def test_partition_runs_without_exchange(self, executed_plans, tmp_path):
+        docs = str(tmp_path / "docs.parquet")
+        pq.write_table(
+            pa.table({"content": ["TP53 binds MDM2 and BRCA1", "MDM2 with TP53"]}),
+            docs,
+        )
+        out = str(tmp_path / "out")
+        with executed_plans() as plans:
+            res = run_flagship_resumable(
+                [docs], ["TP53", "MDM2", "BRCA1"], out
+            )
+        assert res["manifests"][res["completed"][0]]["n_rows"] == 3
+        assert any("Write" in p for p in plans), plans
+        for p in plans:
+            for op in ("Aggregate", "Shuffle", "Sort"):
+                assert op not in p, p
