@@ -3252,22 +3252,23 @@ def dedup_minhash(
 ) -> pd.DataFrame:
     """MinHash-LSH candidate pairs verified at Jaccard ≥ 0.5 (3-shingles).
 
-    Verification re-fetches text via shuffle joins (the corpus never
-    materializes on the driver) — see ``neardup.verify_jaccard_pairs_join``.
+    A corpus that fits one bucket hashes in a parallel map and runs the
+    rest of the query as one task; a larger one re-fetches text via
+    shuffle joins for the verify (the corpus never materializes on the
+    driver) — see ``neardup.minhash_neardup_pairs``.
+    ``max_broadcast_ids`` gates that re-fetch, so it applies only to a
+    corpus of more than one bucket.
     """
-    from ..stages.neardup import minhash_lsh_candidates, verify_jaccard_pairs_join
+    from ..stages.neardup import minhash_neardup_pairs
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     nb = _nb(sf_dir, "documents", floor=1)
-    cand = minhash_lsh_candidates(
-        ds, text_col="text", id_col="doc_id", n_hash_buckets=nb
-    )
-    verified = verify_jaccard_pairs_join(
-        cand,
+    verified = minhash_neardup_pairs(
         ds,
         threshold=0.5,
         id_col="doc_id",
         text_col="text",
+        n_hash_buckets=nb,
         n_buckets=nb,
         max_broadcast_ids=max_broadcast_ids,
     )
@@ -13652,6 +13653,8 @@ def doc_near_dedup(sf_dir: str, threshold: float = 0.8) -> pd.DataFrame:
         ds, text_col="text", id_col="doc_id", threshold=threshold
     )
     out = kept.select_columns(["doc_id"]).to_pandas()
+    if not len(out):
+        return _empty_frame(doc_id="int64")
     return out.sort_values("doc_id").reset_index(drop=True)
 
 

@@ -50,6 +50,20 @@ def n_buckets_for_bytes(nbytes: int, floor: int = 16, cap: int = 1 << 16) -> int
     return int(min(cap, max(floor, need)))
 
 
+def one_task(
+    ds: ray.data.Dataset, kernel: Callable[[pa.Table], pa.Table]
+) -> ray.data.Dataset:
+    """``kernel`` once over all rows of ``ds``, in one map task.
+
+    ``repartition(1)`` concatenates the blocks without a shuffle.  Ray
+    Data passes a zero-row block through a map without calling it, so over
+    an empty input the kernel never runs and the result keeps the input's
+    columns; callers that need typed-empty output pin it themselves."""
+    return ds.repartition(1).map_batches(
+        kernel, batch_format="pyarrow", batch_size=None
+    )
+
+
 def keyed_exchange(
     ds: ray.data.Dataset,
     bucket_ids: Callable[[pa.Table, int], np.ndarray],
@@ -65,9 +79,7 @@ def keyed_exchange(
     ``bucket_ids`` is never called.
     """
     if n_buckets == 1:
-        return ds.repartition(1).map_batches(
-            kernel, batch_format="pyarrow", batch_size=None
-        )
+        return one_task(ds, kernel)
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         ids = np.asarray(bucket_ids(batch, n_buckets), dtype=np.int64)

@@ -7,16 +7,26 @@ each expressed Ray-Data-first:
   numpy), explode to (band_id, band_hash) rows, regroup by band →
   candidate pairs → verify Jaccard.  The regroup is one keyed exchange
   (``stages.exchange``) keyed by (band_id, band_hash) — naturally
-  load-balanced — and no exchange at all when the caller's bucket count
-  is 1, i.e. when the input fits one bucket.
+  load-balanced.
 - **SimHash**: 64-bit signed-projection fingerprint per doc; near-dups =
   equal fingerprints (or equal on ≥1 of 4 16-bit bands for Hamming ≤ k
   candidates).  Like MinHash, a plain task: neither holds state worth an
   actor pool.
-- **n-gram Jaccard**: exact pairwise verification kernel used by both
-  candidate generators.
+- **n-gram Jaccard**: the exact prefix-filtered self-join, and the
+  pairwise Jaccard verify both candidate generators end in.
 - **Embedding cosine**: near-dup over a ``list<float>`` embedding column via
   LSH sign-buckets (random hyperplanes) → within-bucket cosine verify.
+
+The two pair queries (``minhash_neardup_pairs``, ``ngram_jaccard_pairs``)
+are a chain of table kernels: candidate rows (bands or prefix rows), pairs
+per key run, distinct ``(id_a, id_b)``, Jaccard verify.  When the caller's
+bucket counts are 1, i.e. the input fits one bucket, a map over the input
+blocks hashes each doc's bands or prefix into a list column next to its
+``(id, text)``, and the rest of the chain runs as ONE task over the
+coalesced table (``exchange.one_task``): no exchange, no materialization
+and no driver round trip.  With more buckets the same kernels run per
+bucket of the keyed exchanges, and verify re-fetches the texts
+(``verify_jaccard_pairs_join``).
 
 All hashes are md5-derived (process-stable); signatures use the standard
 (a*x+b) mod p universal-hash family with a fixed seed.
@@ -24,6 +34,7 @@ All hashes are md5-derived (process-stable); signatures use the standard
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -32,14 +43,10 @@ import pyarrow.compute as pc
 import ray
 
 from ..functions.arrowio import from_pandas_clean
-from .exchange import keyed_exchange
+from ..functions.hashing import _splitmix64, hash_bucket, hash_bucket_ints
+from .exchange import keyed_exchange, one_task
 
 _MERSENNE = np.uint64((1 << 61) - 1)
-
-
-import functools
-
-from ..functions.hashing import _splitmix64
 
 _POLY = np.uint64(0x100000001B3)  # FNV-ish odd multiplier
 
@@ -171,17 +178,17 @@ def _universal_hash(a: np.ndarray, b: np.ndarray, seg: np.ndarray) -> np.ndarray
     return vals
 
 
-def _bands_table(
-    ids, texts, a: np.ndarray, b: np.ndarray, id_col: str,
+def _band_hashes(
+    texts, a: np.ndarray, b: np.ndarray,
     n_bands: int, rows_per_band: int, n_shingle: int,
-) -> pa.Table:
-    """Batch of (id, text) → LSH band rows, fully vectorized: flat shingle
-    hashes (``_batch_shingle_hashes``), ONE universal-hash outer product +
-    ``np.minimum.reduceat`` per run of whole docs with at most
-    ``_SIG_CHUNK`` shingles, then the per-(doc, band) md5 compaction.  A
-    doc longer than ``_SIG_CHUNK`` is hashed one slice at a time and folded
-    into its row with a running minimum, so the transient (n_perm × T)
-    matrix never exceeds ``_SIG_CHUNK`` columns."""
+) -> np.ndarray:
+    """Texts → (n_docs, n_bands) int64 LSH band keys, fully vectorized:
+    flat shingle hashes (``_batch_shingle_hashes``), ONE universal-hash
+    outer product + ``np.minimum.reduceat`` per run of whole docs with at
+    most ``_SIG_CHUNK`` shingles, then the per-(doc, band) md5 compaction.
+    A doc longer than ``_SIG_CHUNK`` is hashed one slice at a time and
+    folded into its row with a running minimum, so the transient
+    (n_perm × T) matrix never exceeds ``_SIG_CHUNK`` columns."""
     S, soff = _batch_shingle_hashes(texts, n_shingle)
     n_docs = len(soff) - 1
     n_perm = len(a)
@@ -220,6 +227,13 @@ def _bands_table(
         dtype=np.uint64,
         count=n_docs * n_bands,
     ).astype(np.int64)
+    return out_hash.reshape(n_docs, n_bands)
+
+
+def _band_rows(ids, hashes: np.ndarray, id_col: str) -> pa.Table:
+    """(n_docs, n_bands) band keys → (id, band_id, band_hash) rows, one
+    per (doc, band), doc-major."""
+    n_docs, n_bands = hashes.shape
     ids_arr = pa.array(ids) if not isinstance(ids, (pa.Array, pa.ChunkedArray)) else ids
     rep_idx = pa.array(np.repeat(np.arange(n_docs, dtype=np.int64), n_bands))
     return pa.table(
@@ -228,8 +242,19 @@ def _bands_table(
             "band_id": pa.array(
                 np.tile(np.arange(n_bands, dtype=np.int32), n_docs)
             ),
-            "band_hash": pa.array(out_hash, type=pa.int64()),
+            "band_hash": pa.array(hashes.ravel(), type=pa.int64()),
         }
+    )
+
+
+def _bands_table(
+    ids, texts, a: np.ndarray, b: np.ndarray, id_col: str,
+    n_bands: int, rows_per_band: int, n_shingle: int,
+) -> pa.Table:
+    """Batch of (id, text) → LSH band rows (``_band_hashes``,
+    ``_band_rows``)."""
+    return _band_rows(
+        ids, _band_hashes(texts, a, b, n_bands, rows_per_band, n_shingle), id_col
     )
 
 
@@ -293,6 +318,44 @@ def ngram_jaccard(a: str, b: str, n_shingle: int = 3) -> float:
     return inter / (len(sa) + len(sb) - inter)
 
 
+def _new_key(*cols: np.ndarray) -> np.ndarray:
+    """True where a row of the sorted key columns starts a new key."""
+    new = np.zeros(len(cols[0]), dtype=bool)
+    new[:1] = True
+    for c in cols:
+        new[1:] |= c[1:] != c[:-1]
+    return new
+
+
+def _band_buckets(batch: pa.Table, n: int) -> np.ndarray:
+    """Bucket of each band row's (band_id, band_hash) key.  Fully
+    vectorized: the int64 band key is already md5-derived, so one
+    splitmix mix of (key, band_id) replaces a per-row string build."""
+    bh = batch["band_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
+    bid = batch["band_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
+    return (
+        _splitmix64(bh + bid * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(n)
+    ).astype(np.int64)
+
+
+def _lsh_chain_pairs(bands: pa.Table, id_col: str) -> pa.Table:
+    """Band rows → (id_a, id_b) pairs, id_a ≤ id_b: within each LSH bucket
+    (equal band_id and band_hash) chain consecutive ids, so a duplicate
+    cluster of size m yields m-1 pairs, not m²/2.  Ids keep their type."""
+    order = pc.sort_indices(
+        bands,
+        sort_keys=[
+            ("band_id", "ascending"),
+            ("band_hash", "ascending"),
+            (id_col, "ascending"),
+        ],
+    )
+    key = [bands[c].take(order).to_numpy() for c in ("band_id", "band_hash")]
+    nxt = np.flatnonzero(~_new_key(*key))
+    ids = bands[id_col].take(order)
+    return pa.table({"id_a": ids.take(nxt - 1), "id_b": ids.take(nxt)})
+
+
 def minhash_lsh_candidates(
     ds: ray.data.Dataset,
     text_col: str = "text",
@@ -326,61 +389,86 @@ def minhash_lsh_candidates(
         batch_format="pyarrow",
     )
 
-    # group by hash(band_id, band_hash) % n_hash_buckets — one vectorized
-    # pandas pass per hash-bucket instead of one Python call per LSH bucket
-    # (LSH bucket count ~ n_bands × corpus size at scale)
-    def band_buckets(batch: pa.Table, n: int) -> np.ndarray:
-        # fully vectorized: the int64 band key is already md5-derived, so
-        # one splitmix mix of (key, band_id) replaces the old per-row
-        # "b|hash" string build + md5 pass
-        bh = batch["band_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        bid = batch["band_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return (
-            _splitmix64(bh + bid * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(n)
-        ).astype(np.int64)
+    def bucket_pairs(group: pa.Table) -> pa.Table:
+        return _lsh_chain_pairs(group, id_col)
 
-    def bucket_pairs(group: pa.Table):
-        import pandas as pd
-
-        df = group.select(["band_id", "band_hash", id_col]).to_pandas()
-        df = df.sort_values(["band_id", "band_hash", id_col])
-        # chain consecutive ids within each LSH bucket: m-1 pairs connect a
-        # duplicate cluster of size m without m²/2 output
-        same = (
-            df[["band_id", "band_hash"]]
-            .eq(df[["band_id", "band_hash"]].shift())
-            .all(axis=1)
-        )
-        out = pd.DataFrame(
-            {"id_a": df[id_col].shift()[same], "id_b": df[id_col][same]}
-        )
-        # shift() promotes int ids to float64 (NaN in row 0) — cast back to
-        # the SOURCE id dtype; string/object ids pass through untouched.
-        if pd.api.types.is_integer_dtype(df[id_col].dtype):
-            out = out.astype({"id_a": df[id_col].dtype, "id_b": df[id_col].dtype})
-        return from_pandas_clean(out)
-
-    pairs = keyed_exchange(bands, band_buckets, bucket_pairs, n_hash_buckets)
+    pairs = keyed_exchange(bands, _band_buckets, bucket_pairs, n_hash_buckets)
     return _distinct_pairs(pairs, n_hash_buckets)
 
 
+def _pair_keys(pairs: pa.Table) -> pa.ChunkedArray:
+    """``"id_a|id_b"`` per row: the pair key when ids are not integers."""
+    return pc.binary_join_element_wise(
+        pc.cast(pairs["id_a"], pa.string()),
+        pc.cast(pairs["id_b"], pa.string()),
+        "|",
+    )
+
+
+def _int_pair_ids(pairs: pa.Table) -> "tuple[np.ndarray, np.ndarray] | None":
+    """(id_a, id_b) as numpy arrays when both are null-free integers."""
+    cols = [pairs[c] for c in ("id_a", "id_b")]
+    if all(pa.types.is_integer(c.type) and not c.null_count for c in cols):
+        return tuple(c.to_numpy() for c in cols)
+    return None
+
+
+def _distinct_pair_rows(pairs: pa.Table) -> pa.Table:
+    """The first row of each distinct (id_a, id_b): a stable lexsort for
+    integer ids, an Arrow group-by on ``_pair_keys`` otherwise."""
+    ab = _int_pair_ids(pairs)
+    if ab is not None:
+        a, b = ab
+        order = np.lexsort((b, a))
+        return pairs.take(order[_new_key(a[order], b[order])])
+    rows = pa.table({"k": _pair_keys(pairs), "i": np.arange(len(pairs))})
+    return pairs.take(rows.group_by("k").aggregate([("i", "min")])["i_min"])
+
+
+def _pair_buckets(pairs: pa.Table, n: int) -> np.ndarray:
+    """Bucket of each (id_a, id_b): one splitmix mix of the two ids for
+    integer ids, md5 of ``_pair_keys`` otherwise."""
+    ab = _int_pair_ids(pairs)
+    if ab is not None:
+        a, b = (x.astype(np.uint64) for x in ab)
+        return hash_bucket_ints(_splitmix64(a) + b, n)
+    return hash_bucket(_pair_keys(pairs).to_pylist(), n)
+
+
 def _distinct_pairs(pairs: ray.data.Dataset, n_buckets: int) -> ray.data.Dataset:
-    """Exact dedup of (id_a, id_b) rows, keyed by the joined id pair."""
-    from .dedup import exact_dedup
+    """Exact dedup of (id_a, id_b) rows: one ``_distinct_pair_rows`` per
+    bucket of the pair."""
+    return keyed_exchange(pairs, _pair_buckets, _distinct_pair_rows, n_buckets)
 
-    def pair_key(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_k",
-            pc.binary_join_element_wise(
-                pc.cast(batch["id_a"], pa.string()),
-                pc.cast(batch["id_b"], pa.string()),
-                "|",
-            ),
-        )
 
-    return exact_dedup(
-        pairs.map_batches(pair_key, batch_format="pyarrow"), ["_k"], n_buckets
-    ).drop_columns(["_k"])
+def _jaccard_verified(
+    pairs: pa.Table, texts, threshold: float, n_shingle: int
+) -> pa.Table:
+    """``pairs`` with a ``jaccard`` column appended, kept where ≥ threshold.
+
+    ``texts`` maps each id in ``pairs`` to its text.  Each doc's shingle
+    set is built ONCE per call, not once per pair — a doc in k candidate
+    pairs would otherwise re-tokenize k times (measured 55 s -> ~4 s on
+    431k candidates over 5k docs) — and all of them from one
+    ``_batch_shingle_hashes`` call; only the set intersections run per
+    pair."""
+    ids_a = pairs["id_a"].to_numpy().tolist()
+    ids_b = pairs["id_b"].to_numpy().tolist()
+    ids = list(dict.fromkeys(ids_a + ids_b))
+    S, soff = _batch_shingle_hashes(
+        pa.array([texts[i] for i in ids], type=pa.string()), n_shingle
+    )
+    sets = {i: set(S[soff[k] : soff[k + 1]].tolist()) for k, i in enumerate(ids)}
+    sa, sb = list(map(sets.get, ids_a)), list(map(sets.get, ids_b))
+    n = len(ids_a)
+    inter = np.fromiter(map(len, map(set.intersection, sa, sb)), np.int64, n)
+    size_a = np.fromiter(map(len, sa), np.int64, n)
+    size_b = np.fromiter(map(len, sb), np.int64, n)
+    # every doc has at least one shingle (an empty doc hashes the empty
+    # word), so the union is never empty
+    ja = inter / (size_a + size_b - inter)
+    out = pairs.append_column("jaccard", pa.array(ja, type=pa.float64()))
+    return out.filter(pc.greater_equal(out["jaccard"], threshold))
 
 
 def verify_jaccard_pairs(
@@ -398,31 +486,7 @@ def verify_jaccard_pairs(
     ref = docs_by_id if isinstance(docs_by_id, ray.ObjectRef) else ray.put(docs_by_id)
 
     def verify(batch: pa.Table) -> pa.Table:
-        texts = ray.get(ref)
-        # build each doc's shingle set ONCE per batch, not once per pair —
-        # a doc in k candidate pairs would otherwise re-tokenize k times
-        # (measured 55 s -> ~4 s on 431k candidates over 5k docs)
-        cache: dict = {}
-
-        def sset(i):
-            s = cache.get(i)
-            if s is None:
-                s = set(map(int, _token_hashes(texts[i], n_shingle)))
-                cache[i] = s
-            return s
-
-        ja = []
-        for a, b in zip(
-            batch["id_a"].to_pylist(), batch["id_b"].to_pylist()
-        ):
-            sa, sb = sset(a), sset(b)
-            if not sa and not sb:
-                ja.append(1.0)
-                continue
-            inter = len(sa & sb)
-            ja.append(inter / (len(sa) + len(sb) - inter))
-        out = batch.append_column("jaccard", pa.array(ja, type=pa.float64()))
-        return out.filter(pc.greater_equal(out["jaccard"], threshold))
+        return _jaccard_verified(batch, ray.get(ref), threshold, n_shingle)
 
     return pairs.map_batches(verify, batch_format="pyarrow")
 
@@ -443,7 +507,7 @@ def verify_jaccard_pairs_join(
     ``verify_jaccard_pairs`` broadcasts an id→text dict — an OOM when the
     corpus no longer fits on the driver.  Here the text side streams: join
     candidates to ``docs`` on ``id_a`` (text_a), then on ``id_b`` (text_b),
-    then one vectorized Jaccard pass per batch.
+    then one Jaccard pass per batch.
 
     When the candidates' DISTINCT id set is small enough to broadcast, the
     docs side is semi-filtered against it and the surviving texts verify
@@ -457,6 +521,13 @@ def verify_jaccard_pairs_join(
     text set was ~75 MB.  Above ``max_broadcast_ids`` DISTINCT ids the
     full corpus streams through the bucketed joins — no driver
     materialization of text in that mode.
+
+    The broadcast gate costs five driver calls before the verify map runs
+    (``materialize`` of the pairs and of the distinct ids, ``count``, and
+    two ``take_all``).  The pair queries reach this function only when
+    their input spans more than one bucket; an input that fits one bucket
+    verifies inside the one task that found its candidates
+    (``minhash_neardup_pairs``, ``ngram_jaccard_pairs``).
     """
     from .dedup import exact_dedup
     from .join import anti_semi_filter, shuffle_join
@@ -520,40 +591,138 @@ def verify_jaccard_pairs_join(
     )
 
     def verify(batch: pa.Table) -> pa.Table:
-        # per-batch shingle-set cache keyed by doc id (same rationale as
-        # the broadcast kernel: a doc in k pairs tokenizes once, not k×)
-        cache: dict = {}
-
-        def sset(i, text):
-            s = cache.get(i)
-            if s is None:
-                s = set(map(int, _token_hashes(text, n_shingle)))
-                cache[i] = s
-            return s
-
-        ja = []
-        for ia, ib, a, b in zip(
-            batch["id_a"].to_pylist(),
-            batch["id_b"].to_pylist(),
-            batch["text_a"].to_pylist(),
-            batch["text_b"].to_pylist(),
-        ):
-            sa, sb = sset(ia, a), sset(ib, b)
-            if not sa and not sb:
-                ja.append(1.0)
-                continue
-            inter = len(sa & sb)
-            ja.append(inter / (len(sa) + len(sb) - inter))
-        out = pa.table(
-            {
-                "id_a": batch["id_a"],
-                "id_b": batch["id_b"],
-                "jaccard": pa.array(ja, type=pa.float64()),
-            }
+        texts = dict(zip(batch["id_a"].to_pylist(), batch["text_a"].to_pylist()))
+        texts.update(zip(batch["id_b"].to_pylist(), batch["text_b"].to_pylist()))
+        return _jaccard_verified(
+            batch.select(["id_a", "id_b"]), texts, threshold, n_shingle
         )
-        return out.filter(pc.greater_equal(out["jaccard"], threshold))
 
     return j2.map_batches(verify, batch_format="pyarrow")
+
+
+# docs hashed at once by the hashing map in front of a one-task pair
+# query: a block is hashed in slices, so the map's peak RSS follows the
+# slice, not the block.  On a 50k-doc table with 17.2 MiB of text, hashing
+# it in one call raised peak RSS by 331 MiB; 4,096-doc slices cost about
+# 3% more time than whole 25k-doc blocks.
+_HASH_SLICE = 4096
+
+
+def _sliced(fn, table: pa.Table) -> pa.Table:
+    """``fn`` over ``_HASH_SLICE``-row slices of ``table``, concatenated."""
+    return pa.concat_tables(
+        [
+            fn(table.slice(i, _HASH_SLICE))
+            for i in range(0, max(len(table), 1), _HASH_SLICE)
+        ]
+    )
+
+
+# per-doc candidate-row columns the hashing map carries into the one task
+_BANDS, _PREFIX, _N_SH = "__bands", "__prefix", "__n_sh"
+
+
+def _verified_in_table(
+    docs: pa.Table,
+    cand: pa.Table,
+    threshold: float,
+    n_shingle: int,
+    id_col: str,
+    text_col: str,
+) -> pa.Table:
+    """Distinct pairs ``cand`` verified against the texts ``docs`` holds:
+    only the docs that appear in a pair become Python strings."""
+    ids = pa.concat_arrays(
+        [cand["id_a"].combine_chunks(), cand["id_b"].combine_chunks()]
+    )
+    wanted = pc.unique(ids.cast(docs.schema.field(id_col).type))
+    sub = docs.filter(pc.is_in(docs[id_col], value_set=wanted))
+    texts = dict(zip(sub[id_col].to_pylist(), sub[text_col].to_pylist()))
+    return _jaccard_verified(cand, texts, threshold, n_shingle)
+
+
+def _with_bands(
+    batch: pa.Table, text_col: str, id_col: str,
+    n_perm: int, n_bands: int, n_shingle: int,
+) -> pa.Table:
+    """(id, text) plus each doc's ``n_bands`` LSH band keys as one
+    fixed-size list column: the rows of ``minhash_bands_batch``, one row
+    per doc."""
+    a, b = _cached_minhash_params(n_perm)
+    h = _band_hashes(batch[text_col], a, b, n_bands, n_perm // n_bands, n_shingle)
+    return batch.select([id_col, text_col]).append_column(
+        _BANDS, pa.FixedSizeListArray.from_arrays(pa.array(h.ravel()), n_bands)
+    )
+
+
+def _minhash_pairs_table(
+    docs: pa.Table, threshold: float, text_col: str, id_col: str, n_shingle: int
+) -> pa.Table:
+    """The MinHash pair query over one ``_with_bands`` table: band rows,
+    chained pairs, distinct pairs, Jaccard verify."""
+    n_bands = docs.schema.field(_BANDS).type.list_size
+    h = pc.list_flatten(docs[_BANDS]).to_numpy().reshape(-1, n_bands)
+    pairs = _lsh_chain_pairs(_band_rows(docs[id_col], h, id_col), id_col)
+    return _verified_in_table(
+        docs, _distinct_pair_rows(pairs), threshold, n_shingle, id_col, text_col
+    )
+
+
+def minhash_neardup_pairs(
+    ds: ray.data.Dataset,
+    threshold: float = 0.8,
+    text_col: str = "text",
+    id_col: str = "doc_id",
+    n_perm: int = 64,
+    n_bands: int = 16,
+    n_shingle: int = 3,
+    n_hash_buckets: int = 64,
+    n_buckets: int = 32,
+    max_broadcast_ids: int = 2_000_000,
+) -> ray.data.Dataset:
+    """MinHash-LSH candidates verified at n-gram Jaccard ≥ ``threshold``:
+    (id_a, id_b, jaccard), id_a < id_b, distinct.
+
+    With ``n_hash_buckets == n_buckets == 1`` a map over the input blocks
+    hashes each doc's bands (``_with_bands``, in parallel), and the chain
+    pairs, the pair distinct and the verify run as one task over all rows,
+    with no exchange and no driver call; ``max_broadcast_ids`` is unused
+    there.  Otherwise ``minhash_lsh_candidates`` (``n_hash_buckets``)
+    feeds ``verify_jaccard_pairs_join`` (``n_buckets``,
+    ``max_broadcast_ids``).
+    """
+    if n_hash_buckets == n_buckets == 1:
+
+        def with_bands(batch: pa.Table) -> pa.Table:
+            return _sliced(
+                lambda t: _with_bands(t, text_col, id_col, n_perm, n_bands, n_shingle),
+                batch,
+            )
+
+        def minhash_pairs(docs: pa.Table) -> pa.Table:
+            return _minhash_pairs_table(docs, threshold, text_col, id_col, n_shingle)
+
+        banded = ds.map_batches(with_bands, batch_format="pyarrow")
+        return one_task(banded, minhash_pairs)
+    cand = minhash_lsh_candidates(
+        ds,
+        text_col=text_col,
+        id_col=id_col,
+        n_perm=n_perm,
+        n_bands=n_bands,
+        n_shingle=n_shingle,
+        n_hash_buckets=n_hash_buckets,
+    )
+    return verify_jaccard_pairs_join(
+        cand,
+        ds,
+        threshold=threshold,
+        n_shingle=n_shingle,
+        id_col=id_col,
+        text_col=text_col,
+        n_buckets=n_buckets,
+        max_broadcast_ids=max_broadcast_ids,
+    )
 
 
 def near_dedup_docs(
@@ -568,11 +737,12 @@ def near_dedup_docs(
 ) -> ray.data.Dataset:
     """Corpus minus near-duplicates: keep one representative per cluster.
 
-    Composition: LSH candidates → distributed Jaccard verify → connected
-    components of the verified pair graph (``stages/graph.py``,
-    large-star/small-star) → keep each component's minimum id.  Cluster
-    membership is transitive-exact over the verified edges; recall is
-    bounded by LSH candidate generation as usual.
+    Composition: LSH candidates → distributed Jaccard verify
+    (``minhash_neardup_pairs``) → connected components of the verified
+    pair graph (``stages/graph.py``, large-star/small-star) → keep each
+    component's minimum id.  Cluster membership is transitive-exact over
+    the verified edges; recall is bounded by LSH candidate generation as
+    usual.
 
     The drop set is ≤ the number of near-duplicate documents; below
     ``max_broadcast_ids`` it broadcasts as an id set (``anti_semi_filter``),
@@ -580,21 +750,14 @@ def near_dedup_docs(
     shuffle anti-join — no driver-side id collection on either path's
     scale branch.
     """
-    cand = minhash_lsh_candidates(
+    verified = minhash_neardup_pairs(
         ds,
+        threshold=threshold,
         text_col=text_col,
         id_col=id_col,
         n_perm=n_perm,
         n_bands=n_bands,
         n_shingle=n_shingle,
-    )
-    verified = verify_jaccard_pairs_join(
-        cand,
-        ds,
-        threshold=threshold,
-        n_shingle=n_shingle,
-        id_col=id_col,
-        text_col=text_col,
         max_broadcast_ids=max_broadcast_ids,
     )
     from .graph import cluster_dedup
@@ -857,7 +1020,7 @@ def embedding_neardup_pairs(
     Bucket-group pattern: the shuffle key is ``hash(table|bucket) % B``
     (bounded reducers, not one group per LSH bucket); each reducer runs a
     vectorized per-(table,bucket) pairwise verify.  Pairs found by several
-    tables dedup via the bucketed exact_dedup, keeping one cosine.
+    tables dedup via the bucketed ``_distinct_pairs``, keeping one cosine.
     """
     from ..functions.hashing import hash_bucket
 
@@ -940,6 +1103,137 @@ def embedding_neardup_pairs(
     return _distinct_pairs(pairs, 64)
 
 
+def _sorted_unique_shingles(texts, n_shingle: int) -> "tuple[np.ndarray, np.ndarray]":
+    """Each doc's distinct shingle hashes in ascending order, flat:
+    ``(U, doc)`` where ``U[doc == d]`` equals
+    ``np.unique(_token_hashes(texts[d], n_shingle))``.  One
+    ``_batch_shingle_hashes`` call and one (doc, hash) lexsort for the
+    batch, no per-doc Python."""
+    S, soff = _batch_shingle_hashes(texts, n_shingle)
+    doc = np.repeat(np.arange(len(soff) - 1, dtype=np.int64), np.diff(soff))
+    order = np.lexsort((S, doc))
+    S, doc = S[order], doc[order]
+    first = _new_key(S, doc)
+    return S[first], doc[first]
+
+
+def _prefix_lists(
+    texts, threshold: float, n_shingle: int
+) -> "tuple[pa.ListArray, np.ndarray]":
+    """Per doc its first ``n − ceil(t·n) + 1`` distinct shingle hashes
+    (ascending) as a ``list<uint64>`` array, and its distinct-shingle
+    count ``n``."""
+    u, doc = _sorted_unique_shingles(texts, n_shingle)
+    n = np.bincount(doc, minlength=len(texts))
+    start = np.concatenate(([0], np.cumsum(n)[:-1]))
+    plen = n - np.ceil(threshold * n).astype(np.int64) + 1
+    keep = np.arange(len(u)) - start[doc] < plen[doc]
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(doc[keep], minlength=len(n)))))
+    lists = pa.ListArray.from_arrays(
+        pa.array(offsets, type=pa.int32()), pa.array(u[keep], type=pa.uint64())
+    )
+    return lists, n
+
+
+def _prefix_table(ids, prefix, n_sh, id_col: str) -> pa.Table:
+    """(shingle, id, n_sh) prefix-filter rows, one per prefix shingle, from
+    per-doc ids, prefix lists and distinct-shingle counts."""
+    doc = pc.list_parent_indices(prefix)
+    return pa.table(
+        {
+            "shingle": pc.list_flatten(prefix),
+            id_col: ids.take(doc),
+            "n_sh": pa.array(np.asarray(n_sh)[doc.to_numpy()], type=pa.int64()),
+        }
+    )
+
+
+def _prefix_rows(
+    batch: pa.Table, text_col: str, id_col: str, threshold: float, n_shingle: int
+) -> pa.Table:
+    """(shingle, id, n_sh) prefix-filter rows of a batch (``_prefix_lists``)."""
+    prefix, n = _prefix_lists(batch[text_col], threshold, n_shingle)
+    return _prefix_table(batch[id_col], prefix, n, id_col)
+
+
+# bound on the (run, pair) index rows ``_prefix_pairs`` builds at once
+_PAIR_CHUNK = 1 << 20
+
+
+def _prefix_pairs(
+    rows: pa.Table, id_col: str, threshold: float, id_type: pa.DataType
+) -> pa.Table:
+    """Prefix rows → candidate (id_a, id_b), id_a < id_b: every pair of
+    docs sharing a prefix shingle that passes the length filter
+    ``min(n_a, n_b) ≥ t · max(n_a, n_b)``.
+
+    Sort by shingle, then per distinct run SIZE m one ``np.triu_indices(m)``
+    broadcast over every run of that size (no per-run or per-pair Python —
+    on duplication-heavy corpora every shared prefix shingle re-discovers
+    the same pair), then one ``_distinct_pair_rows``."""
+    s = rows["shingle"].to_numpy()
+    order = np.argsort(s, kind="stable")
+    s = s[order]
+    ids = rows[id_col].to_numpy()[order]
+    ns = rows["n_sh"].to_numpy()[order]
+    bnd = np.flatnonzero(_new_key(s))
+    sizes = np.diff(np.append(bnd, len(s)))
+    out_a, out_b = [], []
+    for m in np.unique(sizes[sizes >= 2]):
+        iu, ju = np.triu_indices(m, k=1)
+        starts = bnd[sizes == m][:, None]
+        step = max(1, _PAIR_CHUNK // len(iu))
+        for c in range(0, len(starts), step):
+            i = (starts[c : c + step] + iu).ravel()
+            j = (starts[c : c + step] + ju).ravel()
+            na, nb = ns[i], ns[j]
+            keep = np.minimum(na, nb) >= threshold * np.maximum(na, nb)
+            a, b = ids[i[keep]], ids[j[keep]]
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            ne = lo != hi
+            out_a.append(lo[ne])
+            out_b.append(hi[ne])
+    if not out_a:
+        return pa.table(
+            {"id_a": pa.array([], type=id_type), "id_b": pa.array([], type=id_type)}
+        )
+    pairs = pa.table(
+        {
+            "id_a": pa.array(np.concatenate(out_a), type=id_type),
+            "id_b": pa.array(np.concatenate(out_b), type=id_type),
+        }
+    )
+    return _distinct_pair_rows(pairs)
+
+
+def _with_prefix(
+    batch: pa.Table, text_col: str, id_col: str, threshold: float, n_shingle: int
+) -> pa.Table:
+    """(id, text) plus each doc's prefix list and distinct-shingle count:
+    the rows of ``_prefix_rows``, one row per doc."""
+    prefix, n = _prefix_lists(batch[text_col], threshold, n_shingle)
+    return (
+        batch.select([id_col, text_col])
+        .append_column(_PREFIX, prefix)
+        .append_column(_N_SH, pa.array(n, type=pa.int64()))
+    )
+
+
+def _ngram_pairs_table(
+    docs: pa.Table,
+    threshold: float,
+    n_shingle: int,
+    text_col: str,
+    id_col: str,
+    id_type: pa.DataType,
+) -> pa.Table:
+    """The n-gram Jaccard pair query over one ``_with_prefix`` table:
+    prefix rows, distinct prefix pairs, Jaccard verify."""
+    rows = _prefix_table(docs[id_col], docs[_PREFIX], docs[_N_SH], id_col)
+    pairs = _prefix_pairs(rows, id_col, threshold, id_type)
+    return _verified_in_table(docs, pairs, threshold, n_shingle, id_col, text_col)
+
+
 def ngram_jaccard_pairs(
     ds: ray.data.Dataset,
     threshold: float = 0.5,
@@ -964,8 +1258,13 @@ def ngram_jaccard_pairs(
     2. Inverted-index join: groupby ``hash(shingle) % B`` (bounded
        reducers), emit all within-shingle pairs passing the length filter
        ``min(n_a, n_b) ≥ t · max(n_a, n_b)`` (necessary for J ≥ t).
-    3. Dedup pairs (bucketed ``exact_dedup``), then verify true Jaccard
+    3. Dedup pairs (bucketed ``_distinct_pairs``), then verify true Jaccard
        with the distributed text re-fetch join — output == ground truth.
+
+    With ``n_hash_buckets == n_buckets == 1`` a map over the input blocks
+    builds each doc's prefix (``_with_prefix``, in parallel), and the
+    pairs and the verify run as one task over all rows, against the texts
+    that task already holds: no exchange and no driver call.
 
     Scale notes: index size is (1−t)·|shingles| rows — the threshold is the
     cost knob.  A boilerplate shingle shared by m prefixes emits O(m²)
@@ -973,85 +1272,37 @@ def ngram_jaccard_pairs(
     boilerplate should pre-strip it (the usual AllPairs practice) — the
     exactness guarantee is on the given text.
     """
-    from ..functions.hashing import hash_bucket_ints
-
     if id_type is None:
         id_type = pa.int64()
 
-    def prefix_rows(batch: pa.Table) -> pa.Table:
-        out_sh, out_id, out_n = [], [], []
-        for i, text in enumerate(batch[text_col].to_pylist()):
-            u = np.unique(_token_hashes(text, n_shingle))
-            n = len(u)
-            plen = n - int(np.ceil(threshold * n)) + 1
-            pref = u[:plen]
-            out_sh.append(pref)
-            out_id.append(np.full(len(pref), i, dtype=np.int64))
-            out_n.append(np.full(len(pref), n, dtype=np.int64))
-        ids = batch[id_col].take(
-            pa.array(np.concatenate(out_id) if out_id else [], type=pa.int64())
-        )
-        return pa.table(
-            {
-                "shingle": pa.array(
-                    np.concatenate(out_sh) if out_sh else [], type=pa.uint64()
-                ),
-                id_col: ids,
-                "n_sh": pa.array(
-                    np.concatenate(out_n) if out_n else [], type=pa.int64()
-                ),
-            }
-        )
+    if n_hash_buckets == n_buckets == 1:
 
-    rows = ds.map_batches(prefix_rows, batch_format="pyarrow")
+        def with_prefix(batch: pa.Table) -> pa.Table:
+            return _sliced(
+                lambda t: _with_prefix(t, text_col, id_col, threshold, n_shingle),
+                batch,
+            )
+
+        def ngram_pairs(docs: pa.Table) -> pa.Table:
+            return _ngram_pairs_table(
+                docs, threshold, n_shingle, text_col, id_col, id_type
+            )
+
+        prefixed = ds.map_batches(with_prefix, batch_format="pyarrow")
+        return one_task(prefixed, ngram_pairs)
+
+    def prefix_rows(batch: pa.Table) -> pa.Table:
+        return _prefix_rows(batch, text_col, id_col, threshold, n_shingle)
 
     def shingle_buckets(batch: pa.Table, n: int) -> np.ndarray:
         # vectorized: the shingle is already a uniform uint64 hash — route
         # it with the int splitmix kernel, never per-row str()+md5
         return hash_bucket_ints(batch["shingle"].to_numpy(zero_copy_only=False), n)
 
-    empty = pa.table(
-        {"id_a": pa.array([], type=id_type), "id_b": pa.array([], type=id_type)}
-    )
-
     def bucket_pairs(group: pa.Table) -> pa.Table:
-        # Vectorized inverted-index pair generation: sort by shingle, walk
-        # the runs, per-run triu index pairs + length filter in numpy (no
-        # per-PAIR Python — on duplication-heavy corpora every shared
-        # prefix shingle re-discovers the same pair, so the old per-pair
-        # loop ran tens of millions of iterations), then ONE within-bucket
-        # np.unique combiner before the global exact_dedup exchange.
-        s = group["shingle"].to_numpy(zero_copy_only=False)
-        order = np.argsort(s, kind="stable")
-        s = s[order]
-        ids = group[id_col].to_numpy(zero_copy_only=False)[order]
-        ns = group["n_sh"].to_numpy(zero_copy_only=False)[order]
-        bnd = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
-        sizes = np.diff(np.append(bnd, len(s)))
-        out_a, out_b = [], []
-        for start, m in zip(bnd[sizes >= 2], sizes[sizes >= 2]):
-            iu, ju = np.triu_indices(m, k=1)
-            na, nb = ns[start + iu], ns[start + ju]
-            keep = np.minimum(na, nb) >= threshold * np.maximum(na, nb)
-            a, b = ids[start + iu[keep]], ids[start + ju[keep]]
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            ne = lo != hi
-            out_a.append(lo[ne])
-            out_b.append(hi[ne])
-        if not out_a:
-            return empty
-        a = np.concatenate(out_a)
-        b = np.concatenate(out_b)
-        if a.dtype.kind in "iu":  # combiner dedup (int ids: the scale path)
-            uniq = np.unique(np.stack([a, b], axis=1), axis=0)
-            a, b = uniq[:, 0], uniq[:, 1]
-        return pa.table(
-            {
-                "id_a": pa.array(a, type=id_type),
-                "id_b": pa.array(b, type=id_type),
-            }
-        )
+        return _prefix_pairs(group, id_col, threshold, id_type)
 
+    rows = ds.map_batches(prefix_rows, batch_format="pyarrow")
     pairs = keyed_exchange(rows, shingle_buckets, bucket_pairs, n_hash_buckets)
     cand = _distinct_pairs(pairs, n_hash_buckets)
     return verify_jaccard_pairs_join(

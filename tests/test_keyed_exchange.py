@@ -4,8 +4,12 @@ family built on it.
 - The one-bucket path (no exchange) gives the same rows as the bucketed
   groupby for every stage that uses it.
 - At testdata scale the dedup queries run with no exchange and no actor
-  pool, and ``dedup_simhash`` finishes on a 1- and a 2-CPU session.
+  pool, each near-dup pair query is one plan with one task after the
+  read, and ``dedup_simhash`` finishes on a 1- and a 2-CPU session.
 - Empty results keep their declared columns.
+- The vectorized prefix-filter kernels of ``ngram_jaccard_pairs`` equal
+  the per-doc and per-run loops, and the one-bucket MinHash pair query
+  hashes in slices, so its peak RSS stays bounded on a large block.
 - The vectorized SimHash kernel equals the per-doc vote loop, and
   ``simhash_dedup`` drops docs without a word token as its oracle does.
 - The flagship dedup: ``salted_dedup`` at B = 1 equals B = 64, the
@@ -44,8 +48,11 @@ from bioie_llm_ray.stages.neardup import (
     _EMPTY_HASH,
     _SIG_CHUNK,
     SimHasher,
+    _prefix_pairs,
+    _prefix_rows,
     _token_hashes,
     minhash_lsh_candidates,
+    minhash_neardup_pairs,
     ngram_jaccard_pairs,
     simhash_dedup,
     simhash_fingerprints,
@@ -100,6 +107,9 @@ STAGES = {
     ),
     "minhash_lsh_candidates": lambda sf, b: minhash_lsh_candidates(
         _docs(sf), n_hash_buckets=b
+    ),
+    "minhash_neardup_pairs": lambda sf, b: minhash_neardup_pairs(
+        _docs(sf), threshold=0.5, n_hash_buckets=b, n_buckets=b
     ),
     "simhash_dedup": lambda sf, b: simhash_dedup(_docs(sf), n_hash_buckets=b),
     "ngram_jaccard_pairs": lambda sf, b: ngram_jaccard_pairs(
@@ -158,6 +168,16 @@ def test_dedup_queries_run_without_exchange_or_actor_pool(executed_plans, sf_dir
     for p in plans:
         for op in ("ActorPool", "Sort", "Shuffle", "Aggregate"):
             assert op not in p, p
+
+
+@pytest.mark.parametrize("query", ["dedup_minhash", "dedup_jaccard"])
+def test_pair_query_is_one_task(executed_plans, sf_dir_mid, query):
+    """Candidates, pair distinct and verify run in the one task after the
+    read: one executed plan, one ``Repartition``, no driver round trip."""
+    with executed_plans() as plans:
+        getattr(analytics, query)(sf_dir_mid)
+    assert len(plans) == 1, plans
+    assert plans[0].count("Repartition") == 1, plans
 
 
 SESSION_SCRIPT = """
@@ -242,7 +262,18 @@ class TestTypedEmptyResults:
         assert list(out.columns) == list(_oracle(no_dup_dir, query).columns)
         assert list(out.dtypes) == [np.int64, np.int64, np.float64]
 
-    @pytest.mark.parametrize("query", DEDUP_QUERIES + ["dedup_components"])
+    @pytest.mark.parametrize("query", ["dedup_components", "doc_near_dedup"])
+    def test_no_duplicates_matches_oracle(self, no_dup_dir, query):
+        out = getattr(analytics, query)(no_dup_dir)
+        want = _oracle(no_dup_dir, query)
+        assert list(out.columns) == list(want.columns)
+        assert sorted(out.iloc[:, 0]) == sorted(want.iloc[:, 0])
+        # no pair: no component, and every doc survives near-dedup
+        assert len(out) == (20 if query == "doc_near_dedup" else 0)
+
+    @pytest.mark.parametrize(
+        "query", DEDUP_QUERIES + ["dedup_components", "doc_near_dedup"]
+    )
     def test_zero_row_corpus(self, zero_row_dir, query):
         out = getattr(analytics, query)(zero_row_dir)
         assert len(out) == 0
@@ -296,6 +327,100 @@ class TestVectorizedSimHash:
         assert out["simhash"].to_pylist() == [
             int(np.uint64(x).astype(np.int64)) for x in _simhash_loop(texts)
         ]
+
+
+def _prefix_loop(texts, threshold: float):
+    """Per-doc reference prefix rows: (shingle, doc index, n_sh)."""
+    rows = []
+    for i, t in enumerate(texts):
+        u = np.unique(_token_hashes(t, 3))
+        plen = len(u) - int(np.ceil(threshold * len(u))) + 1
+        rows += [(int(h), i, len(u)) for h in u[:plen]]
+    return rows
+
+
+def _pairs_loop(rows: pa.Table, threshold: float) -> set:
+    """Per-run reference: every prefix-sharing pair passing the length filter."""
+    by_shingle: dict = {}
+    for s, i, n in zip(*(rows[c].to_pylist() for c in ("shingle", "doc_id", "n_sh"))):
+        by_shingle.setdefault(s, []).append((i, n))
+    out = set()
+    for run in by_shingle.values():
+        for x, (ia, na) in enumerate(run):
+            for ib, nb in run[x + 1 :]:
+                if ia != ib and min(na, nb) >= threshold * max(na, nb):
+                    out.add((min(ia, ib), max(ia, ib)))
+    return out
+
+
+class TestPrefixKernels:
+    @pytest.fixture(scope="class")
+    def corpus(self) -> pa.Table:
+        rng = np.random.default_rng(11)
+        vocab = [f"v{i}" for i in range(60)]
+        texts = [
+            " ".join(rng.choice(vocab, size=int(rng.integers(0, 30))))
+            for _ in range(300)
+        ]
+        texts[5], texts[6] = "", "  \n "
+        texts += texts[:40]  # exact copies share whole prefixes
+        return pa.table(
+            {
+                "doc_id": pa.array(range(len(texts)), type=pa.int64()),
+                "text": pa.array(texts),
+            }
+        )
+
+    @pytest.mark.parametrize("threshold", [0.2, 0.3, 0.5, 0.95])
+    def test_equal_per_doc_and_per_run_loops(self, corpus, threshold):
+        rows = _prefix_rows(corpus, "text", "doc_id", threshold, 3)
+        got_rows = list(
+            zip(*(rows[c].to_pylist() for c in ("shingle", "doc_id", "n_sh")))
+        )
+        assert got_rows == _prefix_loop(corpus["text"].to_pylist(), threshold)
+        pairs = _prefix_pairs(rows, "doc_id", threshold, pa.int64())
+        got = list(zip(pairs["id_a"].to_pylist(), pairs["id_b"].to_pylist()))
+        assert len(got) == len(set(got))
+        assert set(got) == _pairs_loop(rows, threshold)
+        assert len(got) > 0
+
+
+RSS_SCRIPT = """
+import resource, sys
+import numpy as np
+import pyarrow as pa
+from bioie_llm_ray.stages import neardup
+rng = np.random.RandomState(0)
+words = np.array([f"w{i}" for i in range(5000)])
+texts = [" ".join(ws) for ws in words[rng.randint(0, 5000, (50_000, 62))]]
+texts[1::50] = texts[::50]  # some near-dup work for the verify
+docs = pa.table({"doc_id": np.arange(50_000), "text": texts})
+del texts
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+# the hashing map over the table as one block, then the one task
+banded = neardup._sliced(
+    lambda t: neardup._with_bands(t, "text", "doc_id", 64, 16, 3), docs
+)
+out = neardup._minhash_pairs_table(banded, 0.5, "text", "doc_id", 3)
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(docs["text"].nbytes, len(out), (peak - base) // 1024)
+"""
+
+
+def test_one_task_pair_query_peak_rss_is_bounded():
+    """The B = 1 MinHash pair query over a 50k-doc, 17.2 MiB table, run in
+    one process: the hashing map over the table as one block, in slices,
+    then the one-task kernel.  Hashing the table in one call raised peak
+    RSS by 331 MiB."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", RSS_SCRIPT], cwd=repo, capture_output=True,
+        text=True, timeout=300, check=True,
+    )
+    text_bytes, n_pairs, rise_mib = map(int, out.stdout.split()[-3:])
+    assert 17 * 2**20 < text_bytes < 19 * 2**20, out.stdout
+    assert n_pairs >= 1000, out.stdout
+    assert rise_mib <= 120, out.stdout
 
 
 def test_simhash_dedup_drops_docs_without_tokens(tmp_path):

@@ -4,7 +4,9 @@ Every operator with a ``max_broadcast_ids`` auto-threshold (minhash verify,
 edit-distance re-fetch, ER verify, cluster_dedup drop set) is run here with
 the threshold forced to 0, so the shuffle-join branch — the one that matters
 at 100 TB — is value-checked end-to-end, not just the broadcast fast path
-that the default-parameter oracle queries exercise.
+that the default-parameter oracle queries exercise.  ``dedup_minhash`` on a
+corpus that fits one bucket verifies in one task with no broadcast gate, so
+its shuffle-join verify is forced with two buckets in its own test.
 """
 
 import duckdb
@@ -44,6 +46,9 @@ def _canon(df: pd.DataFrame) -> pd.DataFrame:
 
 
 FORCED = [
+    # fits one bucket at this scale, where the verify runs inside the one
+    # task and ignores max_broadcast_ids; its shuffle-join verify is forced
+    # by test_minhash_shuffle_join_verify_matches_oracle
     "dedup_minhash",
     "supplier_name_neardup",
     "supplier_name_clusters",
@@ -61,6 +66,27 @@ def test_streamed_branch_matches_oracle(name, con):
     assert list(got.columns) == list(want.columns)
     pd.testing.assert_frame_equal(
         got, want, check_dtype=False, rtol=0, atol=1e-9
+    )
+
+
+def test_minhash_shuffle_join_verify_matches_oracle(con):
+    """``dedup_minhash`` at this scale fits one bucket and verifies inside
+    its one task, so the forced run above no longer reaches the join
+    verify: run the pair query with two buckets and the threshold at 0."""
+    from bioie_llm_ray.stages.neardup import minhash_neardup_pairs
+
+    ds = ray.data.read_parquet(
+        f"{SF}/documents.parquet", columns=["doc_id", "text"]
+    )
+    got = minhash_neardup_pairs(
+        ds, threshold=0.5, n_hash_buckets=2, n_buckets=2, max_broadcast_ids=0
+    ).to_pandas()
+    got["jaccard"] = got["jaccard"].round(6)
+    want = con.sql(entrymod.oracle_sql()["dedup_minhash"]).df()
+    assert len(want) > 0
+    pd.testing.assert_frame_equal(
+        _canon(got[list(want.columns)]), _canon(want),
+        check_dtype=False, rtol=0, atol=1e-9,
     )
 
 
