@@ -33,6 +33,7 @@ from ..functions.hashing import sha256_hex
 from ..stages.exchange import (  # noqa: F401  (re-exported)
     _BYTES_PER_BUCKET,
     _PARQUET_EXPANSION,
+    keyed_exchange,
     n_buckets_for_bytes,
 )
 from ..stages.join import broadcast_join, shuffle_join
@@ -540,16 +541,9 @@ def user_sessions(sf_dir: str) -> pd.DataFrame:
     ``map_groups`` here would be one Python call per user (the anti-pattern
     ``stages/dedup.py`` documents); this is one call per bucket.
     """
-    from ..functions.hashing import bucket_ids_for_column
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-    n_buckets = 32
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array(bucket_ids_for_column(batch["user_id"], n_buckets)),
-        )
+    n_buckets = _nb(sf_dir, "events", 32)
 
     def sessions_bucket(g: pa.Table) -> pa.Table:
         # Arrow/numpy-native (no Arrow→pandas→Arrow round-trip per
@@ -590,12 +584,9 @@ def user_sessions(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    out = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(sessions_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    out = keyed_exchange(
+        ds, ["user_id"], sessions_bucket, n_buckets
+    ).to_pandas()
     out["n_sessions"] = out["n_sessions"].astype("int64")
     out["n_events"] = out["n_events"].astype("int64")
     return out.sort_values("user_id").reset_index(drop=True)
@@ -962,10 +953,7 @@ def doc_repeated_ngrams(
     fingerprint-keyed dedup): distinct n-grams do not collide in the 64-bit
     rolling hash (collision odds ~ (#windows)² / 2⁶⁴).
     """
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    n_buckets = 64
 
     def partial(batch: pa.Table) -> pa.Table:
         _, wh, valid, wdoc = _token_window_hashes(batch, n)
@@ -977,7 +965,6 @@ def doc_repeated_ngrams(
                     "h": pa.array([], pa.uint64()),
                     "doc_id": pa.array([], pa.int64()),
                     "cnt": pa.array([], pa.int64()),
-                    "bucket": pa.array([], pa.int64()),
                 }
             )
         g = (
@@ -991,9 +978,6 @@ def doc_repeated_ngrams(
                 "h": pa.array(g["h"].to_numpy(), pa.uint64()),
                 "doc_id": pa.array(g["doc_id"].to_numpy(), pa.int64()),
                 "cnt": pa.array(g["cnt"].to_numpy(), pa.int64()),
-                "bucket": pa.array(
-                    (g["h"].to_numpy() % np.uint64(n_buckets)).astype(np.int64)
-                ),
             }
         )
 
@@ -1004,12 +988,13 @@ def doc_repeated_ngrams(
         agg = agg[agg["n_docs"] >= min_docs].reset_index()
         return agg[["h", "n_docs", "n_total"]]
 
-    survivors = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
-        .to_pandas()  # small: only spans duplicated across documents
-    )
+    survivors = keyed_exchange(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        ["h"],
+        reduce_bucket,
+        _nb(sf_dir, "documents", 64),
+        batch_format="pandas",
+    ).to_pandas()  # small: only spans duplicated across documents
     if survivors.empty:
         return pd.DataFrame(
             {"ngram": pd.Series(dtype=str),
@@ -2045,16 +2030,9 @@ def user_event_paths(sf_dir: str) -> pd.DataFrame:
     One hash(user_id)-keyed exchange; per bucket a single vectorized sort +
     ``groupby.agg('->'.join)`` — the concatenation order is pinned by
     (ts, event_id) so the path string is deterministic."""
-    from ..functions.hashing import bucket_ids_for_column
 
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"])
-    n_buckets = 32
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array(bucket_ids_for_column(batch["user_id"], n_buckets)),
-        )
+    n_buckets = _nb(sf_dir, "events", 32)
 
     def paths_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -2066,12 +2044,9 @@ def user_event_paths(sf_dir: str) -> pd.DataFrame:
         agg["path_len"] = agg["path_len"].astype("int64")
         return agg
 
-    out = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(paths_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    out = keyed_exchange(
+        ds, ["user_id"], paths_bucket, n_buckets, batch_format="pandas"
+    ).to_pandas()
     return out.sort_values("user_id").reset_index(drop=True)
 
 
@@ -2084,17 +2059,10 @@ def event_type_transitions(sf_dir: str) -> pd.DataFrame:
     ``groupby.shift`` per bucket, same shape as `user_event_gaps`), then
     the bigram rollup rides the combiner aggregate — per-batch partial
     counts, one tiny keyed-by-bigram exchange."""
-    from ..functions.hashing import bucket_ids_for_column
     from ..stages.rollup import grouped_agg
 
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"])
-    n_buckets = 32
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array(bucket_ids_for_column(batch["user_id"], n_buckets)),
-        )
+    n_buckets = _nb(sf_dir, "events", 32)
 
     def lag_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -2107,10 +2075,8 @@ def event_type_transitions(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    bigrams = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(lag_bucket, batch_format="pandas")
+    bigrams = keyed_exchange(
+        ds, ["user_id"], lag_bucket, n_buckets, batch_format="pandas"
     )
     out = grouped_agg(
         bigrams,
@@ -4424,16 +4390,9 @@ def user_cumulative_value(sf_dir: str) -> pd.DataFrame:
     """Running total of event value per user ordered by (ts, event_id) —
     the cumulative-window operator.  Bucket-group by hash(user) % B, one
     vectorized ``groupby.cumsum`` per bucket (never one call per user)."""
-    from ..functions.hashing import bucket_ids_for_column
 
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
-    n_buckets = 32
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array(bucket_ids_for_column(batch["user_id"], n_buckets)),
-        )
+    n_buckets = _nb(sf_dir, "events", 32)
 
     out_schema = pa.schema(
         [
@@ -4459,12 +4418,9 @@ def user_cumulative_value(sf_dir: str) -> pd.DataFrame:
             res, schema=out_schema, preserve_index=False
         )
 
-    out = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(cumsum_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    out = keyed_exchange(
+        ds, ["user_id"], cumsum_bucket, n_buckets, batch_format="pandas"
+    ).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -5196,7 +5152,6 @@ def sole_return_suppliers(sf_dir: str, top_n: int = 10) -> pd.DataFrame:
     per-supplier count re-aggregates via ``grouped_agg``; names attach by
     a pruned point fetch of the ≤ top_n winning keys."""
     from ..stages.rollup import grouped_agg
-    from ..functions.hashing import bucket_ids_for_column
 
     li = _read(
         sf_dir, "lineitem", columns=["l_orderkey", "l_suppkey", "l_returnflag"]
@@ -5213,9 +5168,7 @@ def sole_return_suppliers(sf_dir: str, top_n: int = 10) -> pd.DataFrame:
             }
         )
         g = t.group_by(["l_orderkey", "l_suppkey"]).aggregate([("is_r", "max")])
-        g = g.rename_columns(["l_orderkey", "l_suppkey", "any_r"])
-        b = bucket_ids_for_column(g["l_orderkey"], 32)
-        return g.append_column("_b", pa.array(b))
+        return g.rename_columns(["l_orderkey", "l_suppkey", "any_r"])
 
     pairs = li.map_batches(per_pair, batch_format="pyarrow")
 
@@ -5237,7 +5190,13 @@ def sole_return_suppliers(sf_dir: str, top_n: int = 10) -> pd.DataFrame:
             }
         )
 
-    hits = pairs.groupby("_b").map_groups(offenders, batch_format="pandas")
+    hits = keyed_exchange(
+        pairs,
+        ["l_orderkey"],
+        offenders,
+        _nb(sf_dir, "lineitem", 32),
+        batch_format="pandas",
+    )
     counts = grouped_agg(
         hits,
         keys=["l_suppkey"],
@@ -5398,16 +5357,9 @@ def user_event_gaps(sf_dir: str) -> pd.DataFrame:
     cardinality = input (a true per-row window, streamed back per bucket,
     never one Python call per user).  Ordering ties broken by event_id so
     the lag is deterministic."""
-    from ..functions.hashing import bucket_ids_for_column
 
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-    n_buckets = 32
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array(bucket_ids_for_column(batch["user_id"], n_buckets)),
-        )
+    n_buckets = _nb(sf_dir, "events", 32)
 
     def gaps_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -5423,12 +5375,9 @@ def user_event_gaps(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    out = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(gaps_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    out = keyed_exchange(
+        ds, ["user_id"], gaps_bucket, n_buckets, batch_format="pandas"
+    ).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -5472,16 +5421,9 @@ def user_moving_avg(sf_dir: str) -> pd.DataFrame:
     double-precision values are order-stable here because the rolling kernel
     adds at most 3 terms in a fixed (ts, event_id) order — bit-equal to the
     SQL frame average."""
-    from ..functions.hashing import bucket_ids_for_column
 
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
-    n_buckets = 32
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array(bucket_ids_for_column(batch["user_id"], n_buckets)),
-        )
+    n_buckets = _nb(sf_dir, "events", 32)
 
     def avg_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -5499,12 +5441,9 @@ def user_moving_avg(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    out = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(avg_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    out = keyed_exchange(
+        ds, ["user_id"], avg_bucket, n_buckets, batch_format="pandas"
+    ).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -5583,18 +5522,8 @@ def part_copurchase(sf_dir: str, min_support: int = 3) -> pd.DataFrame:
     count is a second combiner exchange.  An unbounded-basket variant
     would cap or salt the hot baskets first (the ER-blocking size-class
     trick)."""
-    from ray.data.aggregate import Count
-
-    from ..functions.hashing import bucket_ids_for_column
-
     ds = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
-    n_buckets = 32
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array(bucket_ids_for_column(batch["l_orderkey"], n_buckets)),
-        )
+    n_buckets = _nb(sf_dir, "lineitem", 32)
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         # vectorized pair expansion: distinct (order, part) rows
@@ -5613,10 +5542,8 @@ def part_copurchase(sf_dir: str, min_support: int = 3) -> pd.DataFrame:
 
     from ..stages.rollup import grouped_agg
 
-    pair_rows = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(pairs, batch_format="pandas")
+    pair_rows = keyed_exchange(
+        ds, ["l_orderkey"], pairs, n_buckets, batch_format="pandas"
     )
     # support count via the combiner exchange (grouped_agg), NOT a raw
     # multi-key Dataset.aggregate: Ray's sort-based aggregate merges
@@ -5666,8 +5593,6 @@ def user_value_resampled(
     highest event_id — the row sort order pins it."""
     from ray.data.aggregate import Max, Min
 
-    from ..functions.hashing import bucket_ids_for_column
-
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
     mm = ds.aggregate(Min("ts"), Max("ts"))
     lo = pd.Timestamp(mm["min(ts)"]).floor("h").value // 1000
@@ -5675,13 +5600,7 @@ def user_value_resampled(
     step_us = step_hours * 3_600_000_000
     grid = np.arange(lo, hi + 1, step_us, dtype=np.int64)
     grid_ref = ray.put(grid)
-    n_buckets = 32
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array(bucket_ids_for_column(batch["user_id"], n_buckets)),
-        )
+    n_buckets = _nb(sf_dir, "events", 32)
 
     def resample(g: pd.DataFrame) -> pd.DataFrame:
         gr = ray.get(grid_ref)
@@ -5706,12 +5625,9 @@ def user_value_resampled(
             }
         )
 
-    out = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(resample, batch_format="pandas")
-        .to_pandas()
-    )
+    out = keyed_exchange(
+        ds, ["user_id"], resample, n_buckets, batch_format="pandas"
+    ).to_pandas()
     return out.sort_values(["user_id", "grid_ts"]).reset_index(drop=True)
 
 
@@ -5958,14 +5874,12 @@ def error_click_correlation(
     slice (the disjoint-segment trick from ``user_range_window`` makes
     that a single vectorized call for ALL users in the bucket).  Output
     per user: error count, click count, and correlated-pair count."""
-    from ..functions.hashing import bucket_ids_for_column
-
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_type"])
     band_us = band_min * 60_000_000
-    n_buckets = 32
+    n_buckets = _nb(sf_dir, "events", 32)
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        t = pa.table(
+    def errors_and_clicks(batch: pa.Table) -> pa.Table:
+        return pa.table(
             {
                 "user_id": batch["user_id"],
                 "ts": batch["ts"],
@@ -5976,10 +5890,6 @@ def error_click_correlation(
                 pc.equal(batch["event_type"], "error"),
                 pc.equal(batch["event_type"], "click"),
             )
-        )
-        return t.append_column(
-            "__bucket",
-            pa.array(bucket_ids_for_column(t["user_id"], n_buckets)),
         )
 
     def correlate(g: pd.DataFrame) -> pd.DataFrame:
@@ -6028,12 +5938,13 @@ def error_click_correlation(
             {"n_errors": "int64", "n_pairs": "int64"}
         )[["user_id", "n_errors", "n_clicks", "n_pairs"]]
 
-    out = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(correlate, batch_format="pandas")
-        .to_pandas()
-    )
+    out = keyed_exchange(
+        ds.map_batches(errors_and_clicks, batch_format="pyarrow"),
+        ["user_id"],
+        correlate,
+        n_buckets,
+        batch_format="pandas",
+    ).to_pandas()
     return out.sort_values("user_id").reset_index(drop=True)
 
 
@@ -6315,17 +6226,10 @@ def user_range_window(sf_dir: str) -> pd.DataFrame:
     ``side="right"`` upper bound (pandas ``rolling('1h')`` can NOT express
     this: it cuts the frame at the current row position, excluding equal-ts
     followers)."""
-    from ..functions.hashing import bucket_ids_for_column
 
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
-    n_buckets = 32
+    n_buckets = _nb(sf_dir, "events", 32)
     window_us = 3_600_000_000  # 1 hour
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array(bucket_ids_for_column(batch["user_id"], n_buckets)),
-        )
 
     def range_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts"], kind="mergesort")
@@ -6375,12 +6279,9 @@ def user_range_window(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    out = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(range_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    out = keyed_exchange(
+        ds, ["user_id"], range_bucket, n_buckets, batch_format="pandas"
+    ).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
 
 
@@ -6775,7 +6676,6 @@ def er_golden_records(sf_dir: str, threshold: float = 0.5) -> pd.DataFrame:
     driver id→attr dict), and survivorship runs as ONE vectorized pandas
     pass per hash(component) bucket — value-count → sort → first-per-group,
     no per-cluster Python calls."""
-    from ..functions.hashing import bucket_ids_for_column
     from ..stages.join import shuffle_join
 
     # pin the label schema: empty blocks out of the components fixpoint
@@ -6808,14 +6708,6 @@ def er_golden_records(sf_dir: str, threshold: float = 0.5) -> pd.DataFrame:
             "n_chars": pa.int64(),
         },
     )
-    n_buckets = 16
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array(bucket_ids_for_column(batch["component"], n_buckets)),
-        )
-
     def golden_bucket(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby("component").agg(
             n_members=("node", "size"), max_chars=("n_chars", "max")
@@ -6843,12 +6735,13 @@ def er_golden_records(sf_dir: str, threshold: float = 0.5) -> pd.DataFrame:
             }
         )
 
-    out = (
-        memb.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(golden_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    out = keyed_exchange(
+        memb,
+        ["component"],
+        golden_bucket,
+        _nb(sf_dir, "documents", 16),
+        batch_format="pandas",
+    ).to_pandas()
     if "component" not in out.columns:  # zero ER pairs (see er_entity_clusters)
         out = pd.DataFrame(
             {
@@ -6933,21 +6826,9 @@ def dedup_keep_best(sf_dir: str, threshold: float = 0.5) -> pd.DataFrame:
         bucket_post=None,
     )
     # second exchange keyed by component: winners are exact per bucket
-    from ..functions.hashing import bucket_ids_for_column
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        b = bucket_ids_for_column(batch["component"], 16)
-        return batch.append_column("__cb", pa.array(b))
-
-    out = (
-        out.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__cb")
-        .map_groups(
-            lambda g: best_per_component(from_pandas_clean(g)),
-            batch_format="pandas",
-        )
-        .to_pandas()
-    )
+    out = keyed_exchange(
+        out, ["component"], best_per_component, _nb(sf_dir, "documents", 16)
+    ).to_pandas()
     return out.sort_values("component").reset_index(drop=True)[
         ["component", "kept_doc", "best_alpha", "n_members"]
     ]
@@ -7615,18 +7496,11 @@ def user_first_last_event(sf_dir: str) -> pd.DataFrame:
     ``groupby.agg(first/last/size)``, never a per-user Python call.  The
     arg-min/arg-max rollup complement of the per-row LAG window
     (``user_event_gaps``)."""
-    from ..functions.hashing import bucket_ids_for_column
 
     ds = _read(
         sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"]
     )
-    n_buckets = 32
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array(bucket_ids_for_column(batch["user_id"], n_buckets)),
-        )
+    n_buckets = _nb(sf_dir, "events", 32)
 
     def first_last(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -7649,12 +7523,9 @@ def user_first_last_event(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    out = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(first_last, batch_format="pandas")
-        .to_pandas()
-    )
+    out = keyed_exchange(
+        ds, ["user_id"], first_last, n_buckets, batch_format="pandas"
+    ).to_pandas()
     return out.sort_values("user_id").reset_index(drop=True)
 
 
@@ -8798,16 +8669,8 @@ def events_dedup_window(sf_dir: str, window_s: int = 600) -> pd.DataFrame:
     decide every row.  Returns the per-type suppression summary."""
     from ray.data.aggregate import Sum
 
-    from ..functions.hashing import bucket_ids_for_column
-
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"])
-    n_buckets = 32
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array(bucket_ids_for_column(batch["user_id"], n_buckets)),
-        )
+    n_buckets = _nb(sf_dir, "events", 32)
 
     def suppress_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(
@@ -8824,9 +8687,9 @@ def events_dedup_window(sf_dir: str, window_s: int = 600) -> pd.DataFrame:
         return s
 
     out = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(suppress_bucket, batch_format="pandas")
+        keyed_exchange(
+            ds, ["user_id"], suppress_bucket, n_buckets, batch_format="pandas"
+        )
         .groupby("event_type")
         .aggregate(
             Sum("n_events", alias_name="n_events"),
@@ -8854,10 +8717,10 @@ def clf_calibration(sf_dir: str) -> pd.DataFrame:
     on int64, so the SQL oracle agrees bit-for-bit on every boundary."""
     from ray.data.aggregate import Sum
 
-    from ..functions.hashing import _splitmix64, hash_bucket, sha256_hex, stable_hash_u64
+    from ..functions.hashing import _splitmix64, stable_hash_u64
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    n_buckets = 32
+    n_buckets = _nb(sf_dir, "documents", 32)
 
     def score_and_sha(batch: pa.Table) -> pa.Table:
         texts = batch["text"]
@@ -8885,7 +8748,6 @@ def clf_calibration(sf_dir: str) -> pd.DataFrame:
                 "sha": pa.array(shas),
                 "s": pa.array(sums[keep], type=pa.int64()),
                 "n": pa.array(lens[keep].astype(np.int64), type=pa.int64()),
-                "__bucket": pa.array(hash_bucket(shas, n_buckets)),
             }
         )
 
@@ -8909,9 +8771,13 @@ def clf_calibration(sf_dir: str) -> pd.DataFrame:
         return s
 
     out = (
-        ds.map_batches(score_and_sha, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(label_and_bin, batch_format="pandas")
+        keyed_exchange(
+            ds.map_batches(score_and_sha, batch_format="pyarrow"),
+            ["sha"],
+            label_and_bin,
+            n_buckets,
+            batch_format="pandas",
+        )
         .groupby("bin")
         .aggregate(
             Sum("n_docs", alias_name="n_docs"),
@@ -9093,19 +8959,11 @@ def signup_survival_km(sf_dir: str) -> pd.DataFrame:
     windowed ``product()`` agrees inside the round)."""
     from ray.data.aggregate import Max
 
-    from ..functions.hashing import bucket_ids_for_column
-
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_type"])
     ds = ds.filter(
         expr="event_type == 'signup' or event_type == 'purchase'"
     )
-    n_buckets = 32
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array(bucket_ids_for_column(batch["user_id"], n_buckets)),
-        )
+    n_buckets = _nb(sf_dir, "events", 32)
 
     def per_user(g: pd.DataFrame) -> pd.DataFrame:
         st = (
@@ -9126,12 +8984,9 @@ def signup_survival_km(sf_dir: str) -> pd.DataFrame:
         out = st.to_frame().join(pt, how="left").reset_index()
         return out[["user_id", "st", "pt"]]
 
-    per = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_user, batch_format="pandas")
-        .to_pandas()
-    )
+    per = keyed_exchange(
+        ds, ["user_id"], per_user, n_buckets, batch_format="pandas"
+    ).to_pandas()
     end_ts = ds.aggregate(Max("ts", alias_name="end"))["end"]
     end_us = pd.Timestamp(end_ts).value // 1000
 
@@ -9347,20 +9202,13 @@ def part_triple_copurchase(sf_dir: str, min_support: int = 2) -> pd.DataFrame:
     the bucket kernel, and counts survivors.  The prune is an
     optimization, not a semantics change, so the plain three-way-join SQL
     oracle agrees exactly."""
-    from ray.data.aggregate import Count
-
-    from ..functions.hashing import bucket_ids_for_column
-
     ds = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
-    n_buckets = 32
+    n_buckets = _nb(sf_dir, "lineitem", 32)
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array(bucket_ids_for_column(batch["l_orderkey"], n_buckets)),
+    def per_basket(kernel) -> ray.data.Dataset:
+        return keyed_exchange(
+            ds, ["l_orderkey"], kernel, n_buckets, batch_format="pandas"
         )
-
-    bucketed = ds.map_batches(add_bucket, batch_format="pyarrow")
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         g = g[["l_orderkey", "l_partkey"]].drop_duplicates()
@@ -9380,9 +9228,7 @@ def part_triple_copurchase(sf_dir: str, min_support: int = 2) -> pd.DataFrame:
     # keys at sf0.1 → minutes); grouped_agg is the house pattern
     freq_pairs = (
         grouped_agg(
-            bucketed.groupby("__bucket").map_groups(
-                pairs, batch_format="pandas"
-            ),
+            per_basket(pairs),
             keys=["part_a", "part_b"],
             aggs={"n": ("part_a", "count")},
             n_buckets=n_buckets,
@@ -9423,9 +9269,7 @@ def part_triple_copurchase(sf_dir: str, min_support: int = 2) -> pd.DataFrame:
 
     out = (
         grouped_agg(
-            bucketed.groupby("__bucket").map_groups(
-                triples, batch_format="pandas"
-            ),
+            per_basket(triples),
             keys=["part_a", "part_b", "part_c"],
             aggs={"n_orders": ("part_a", "count")},
             n_buckets=n_buckets,
@@ -9571,16 +9415,9 @@ def user_event_entropy(sf_dir: str) -> pd.DataFrame:
     (user, type) counts and folds Shannon entropy vectorized — output is
     one row per user, counts exact, entropy rounded to 6 dp (the SQL
     oracle sums the identical p·ln p terms)."""
-    from ..functions.hashing import bucket_ids_for_column
 
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
-    n_buckets = 32
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array(bucket_ids_for_column(batch["user_id"], n_buckets)),
-        )
+    n_buckets = _nb(sf_dir, "events", 32)
 
     def entropy_bucket(g: pd.DataFrame) -> pd.DataFrame:
         c = (
@@ -9602,12 +9439,9 @@ def user_event_entropy(sf_dir: str) -> pd.DataFrame:
         out["entropy"] = out["entropy"].round(6)
         return out
 
-    out = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(entropy_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    out = keyed_exchange(
+        ds, ["user_id"], entropy_bucket, n_buckets, batch_format="pandas"
+    ).to_pandas()
     return out.sort_values("user_id").reset_index(drop=True)
 
 
@@ -11024,16 +10858,6 @@ def excess_quantity_suppliers(
         g = df.groupby(["l_partkey", "l_suppkey"], as_index=False)["q100"].sum()
         return from_pandas_clean(g, preserve_index=False)
 
-    from ..functions.hashing import bucket_ids_for_column
-
-    n_buckets = _nb(sf_dir, "lineitem", 16)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array(bucket_ids_for_column(batch["l_partkey"], n_buckets)),
-        )
-
     def keep_excess(g: pd.DataFrame) -> pd.DataFrame:
         pairs = g.groupby(["l_partkey", "l_suppkey"], as_index=False)[
             "q100"
@@ -11047,13 +10871,13 @@ def excess_quantity_suppliers(
         kept = pairs[pairs["q100"].to_numpy(np.float64) > thresh]
         return pd.DataFrame({"l_suppkey": kept["l_suppkey"].unique()})
 
-    supp_keys = (
-        li.map_batches(project, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(keep_excess, batch_format="pandas")
-        .to_pandas()
-    )
+    supp_keys = keyed_exchange(
+        li.map_batches(project, batch_format="pyarrow"),
+        ["l_partkey"],
+        keep_excess,
+        _nb(sf_dir, "lineitem", 16),
+        batch_format="pandas",
+    ).to_pandas()
     supplier = _read_table(
         sf_dir, "supplier", columns=["s_suppkey", "s_name", "s_nationkey"]
     )
@@ -11551,17 +11375,9 @@ def user_event_trigrams(sf_dir: str, min_count: int = 2) -> pd.DataFrame:
     Same shape: ONE hash(user_id)-keyed exchange, a vectorized double
     ``groupby.shift`` per bucket, then the trigram rollup rides the
     combiner aggregate (per-batch partials, one tiny keyed exchange)."""
-    from ..functions.hashing import bucket_ids_for_column
     from ..stages.rollup import grouped_agg
 
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"])
-    n_buckets = _nb(sf_dir, "events")
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array(bucket_ids_for_column(batch["user_id"], n_buckets)),
-        )
 
     def lag2_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -11577,10 +11393,8 @@ def user_event_trigrams(sf_dir: str, min_count: int = 2) -> pd.DataFrame:
             }
         )
 
-    tri = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(lag2_bucket, batch_format="pandas")
+    tri = keyed_exchange(
+        ds, ["user_id"], lag2_bucket, _nb(sf_dir, "events"), batch_format="pandas"
     )
     out = grouped_agg(
         tri,
@@ -12532,16 +12346,9 @@ def user_time_weighted_value(sf_dir: str) -> pd.DataFrame:
     Same bucket-group shape as `user_event_gaps`: one exchange keyed
     ``hash(user_id) % B``, one vectorized pandas pass per bucket
     (sort + per-user shift(-1)); durations are exact integer µs."""
-    from ..functions.hashing import bucket_ids_for_column
 
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
-    n_buckets = 32
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array(bucket_ids_for_column(batch["user_id"], n_buckets)),
-        )
+    n_buckets = _nb(sf_dir, "events", 32)
 
     def twap_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -12564,12 +12371,9 @@ def user_time_weighted_value(sf_dir: str) -> pd.DataFrame:
             columns={"dur": "held_us"}
         )
 
-    out = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(twap_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    out = keyed_exchange(
+        ds, ["user_id"], twap_bucket, n_buckets, batch_format="pandas"
+    ).to_pandas()
     out["twap"] = out["twap"].round(6)
     out["user_id"] = out["user_id"].astype("int64")
     out["held_us"] = out["held_us"].astype("int64")
@@ -12683,16 +12487,9 @@ def events_burstiness(sf_dir: str) -> pd.DataFrame:
     the shuffle payload is 3 floats per type per bucket; σ/μ/B are
     driver arithmetic mirrored term-for-term in SQL from the same raw
     moments."""
-    from ..functions.hashing import bucket_ids_for_column
 
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"])
-    n_buckets = 32
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array(bucket_ids_for_column(batch["user_id"], n_buckets)),
-        )
+    n_buckets = _nb(sf_dir, "events", 32)
 
     def moments_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -12710,12 +12507,9 @@ def events_burstiness(sf_dir: str) -> pd.DataFrame:
         )
         return out
 
-    parts = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(moments_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = keyed_exchange(
+        ds, ["user_id"], moments_bucket, n_buckets, batch_format="pandas"
+    ).to_pandas()
     m = parts.groupby("event_type", as_index=False).agg(
         n=("n", "sum"), sg=("sg", "sum"), sgg=("sgg", "sum")
     )
@@ -12984,8 +12778,6 @@ def _cross_dup_islands_ds(sf_dir: str, w: int = 5) -> ray.data.Dataset:
     """Shared plan of the cross-document span family: the maximal-span
     Dataset (doc_id, span_start, span_end, n_windows) — consumed whole by
     `doc_cross_dup_spans` and joined per doc by `doc_cut_dup_spans`."""
-    from ..functions.hashing import bucket_ids_for_column, hash_bucket_ints
-
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     nb = _nb(sf_dir, "documents")
 
@@ -13003,9 +12795,7 @@ def _cross_dup_islands_ds(sf_dir: str, w: int = 5) -> ray.data.Dataset:
             }
         )
         if n < w:
-            return empty.append_column(
-                "__bucket", pa.array([], type=pa.int64())
-            )
+            return empty
         parent = toks.value_parent_indices().to_numpy(zero_copy_only=False)
         starts = np.asarray(toks.offsets.to_numpy(zero_copy_only=False))
         m = n - w + 1
@@ -13018,22 +12808,17 @@ def _cross_dup_islands_ds(sf_dir: str, w: int = 5) -> ray.data.Dataset:
         doc_ids = np.asarray(batch["doc_id"].to_pylist(), dtype=np.int64)[p0]
         keep = np.flatnonzero(valid)
         wins = wins.take(pa.array(keep))
-        t = pa.table(
+        return pa.table(
             {
                 "doc_id": pa.array(doc_ids[keep], type=pa.int64()),
                 "pos": pa.array(pos[keep], type=pa.int64()),
                 "window": wins,
             }
         )
-        return t.append_column(
-            "__bucket", pa.array(bucket_ids_for_column(t["window"], nb))
-        )
 
     def shared_rows(g: pd.DataFrame) -> pd.DataFrame:
         nd = g.groupby("window")["doc_id"].transform("nunique")
-        kept = g.loc[nd >= 2, ["doc_id", "pos"]].copy()
-        kept["__b2"] = hash_bucket_ints(kept["doc_id"].to_numpy(), nb)
-        return kept
+        return g.loc[nd >= 2, ["doc_id", "pos"]]
 
     def islands(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["doc_id", "pos"], kind="mergesort")
@@ -13048,13 +12833,14 @@ def _cross_dup_islands_ds(sf_dir: str, w: int = 5) -> ray.data.Dataset:
         agg["span_end"] = agg["span_end"] + w
         return agg[["doc_id", "span_start", "span_end", "n_windows"]]
 
-    return (
-        ds.map_batches(windows, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(shared_rows, batch_format="pandas")
-        .groupby("__b2")
-        .map_groups(islands, batch_format="pandas")
+    shared = keyed_exchange(
+        ds.map_batches(windows, batch_format="pyarrow"),
+        ["window"],
+        shared_rows,
+        nb,
+        batch_format="pandas",
     )
+    return keyed_exchange(shared, ["doc_id"], islands, nb, batch_format="pandas")
 
 
 def doc_cut_dup_spans(sf_dir: str, w: int = 5) -> pd.DataFrame:
@@ -13532,8 +13318,6 @@ def source_ngram_overlap(sf_dir: str, w: int = 5) -> pd.DataFrame:
     vectorized self-merge on window plus per-source distinct-window
     partials.  Only the (≤ |sources|²) matrix and per-source totals reach
     the driver."""
-    from ..functions.hashing import bucket_ids_for_column
-
     ds = _read(sf_dir, "documents", columns=["source", "text"])
     nb = _nb(sf_dir, "documents")
 
@@ -13544,13 +13328,12 @@ def source_ngram_overlap(sf_dir: str, w: int = 5) -> pd.DataFrame:
         flat = toks.flatten()
         n = len(flat)
         if n < w:
-            t = pa.table(
+            return pa.table(
                 {
                     "source": pa.array([], type=pa.string()),
                     "window": pa.array([], type=pa.string()),
                 }
             )
-            return t.append_column("__bucket", pa.array([], type=pa.int64()))
         parent = toks.value_parent_indices().to_numpy(zero_copy_only=False)
         m = n - w + 1
         wins = pc.binary_join_element_wise(
@@ -13563,10 +13346,7 @@ def source_ngram_overlap(sf_dir: str, w: int = 5) -> pd.DataFrame:
         df = pd.DataFrame(
             {"source": srcs, "window": wins.take(pa.array(keep))}
         ).drop_duplicates()  # per-batch combiner on (source, window)
-        t = from_pandas_clean(df, preserve_index=False)
-        return t.append_column(
-            "__bucket", pa.array(bucket_ids_for_column(t["window"], nb))
-        )
+        return from_pandas_clean(df, preserve_index=False)
 
     def bucket_pass(g: pd.DataFrame) -> pd.DataFrame:
         g = g[["source", "window"]].drop_duplicates()
@@ -13586,12 +13366,13 @@ def source_ngram_overlap(sf_dir: str, w: int = 5) -> pd.DataFrame:
             ignore_index=True,
         )
 
-    parts = (
-        ds.map_batches(windows, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(bucket_pass, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = keyed_exchange(
+        ds.map_batches(windows, batch_format="pyarrow"),
+        ["window"],
+        bucket_pass,
+        nb,
+        batch_format="pandas",
+    ).to_pandas()
     agg = parts.groupby(["kind", "s1", "s2"], as_index=False)["n"].sum()
     tot = dict(
         zip(agg.loc[agg["kind"] == "total", "s1"],

@@ -35,12 +35,9 @@ import pyarrow as pa
 from ..functions.arrowio import from_pandas_clean
 import ray
 
-from ..functions.hashing import (
-    add_sha256_column,
-    hash_bucket,
-    stable_hash_u64,
-)
+from ..functions.hashing import add_sha256_column, stable_hash_u64
 from ..stages.dedup import argmax_dedup, exact_dedup
+from ..stages.exchange import keyed_exchange
 
 
 def _nbf(code_parquet: str, floor: int = 8) -> int:
@@ -99,7 +96,7 @@ def vendored_files(
 ) -> ray.data.Dataset:
     """(content_sha256, n_repos, n_copies) for content in ≥ min_repos repos.
 
-    Bucket-group by hash(sha) % B; each bucket runs one pandas
+    One keyed exchange on the sha; each bucket runs one pandas
     ``groupby(sha).agg(nunique, size)`` — per-sha work stays in C.  The
     content column is projected away before the shuffle (only the 64-char
     sha and the repo string move).
@@ -108,14 +105,6 @@ def vendored_files(
         lambda b: add_sha256_column(b, column="content"),
         batch_format="pyarrow",
     ).select_columns(["content_sha256", "repo"])
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array(
-                hash_bucket(batch["content_sha256"].to_pylist(), n_buckets)
-            ),
-        )
 
     out_schema = pa.schema(
         [
@@ -137,10 +126,8 @@ def vendored_files(
             out, schema=out_schema, preserve_index=False
         )
 
-    return (
-        hashed.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(agg_bucket, batch_format="pandas")
+    return keyed_exchange(
+        hashed, ["content_sha256"], agg_bucket, n_buckets, batch_format="pandas"
     )
 
 
@@ -156,7 +143,7 @@ def commit_diff(
 
     The incremental-processing primitive for the code table: rerun
     extraction only over added+modified files instead of the 10^12-file
-    corpus.  ONE exchange keyed on hash(repo|path) — both as-of versions of
+    corpus.  ONE exchange keyed on (repo, path) — both as-of versions of
     a path land in the same bucket, where a single vectorized pandas pass
     (sort by ts, groupby last) resolves them; content is projected to its
     sha before the shuffle, so only (repo, path, ts, sha64) bytes move.
@@ -173,17 +160,6 @@ def commit_diff(
         .select_columns(["repo", "path", "commit_ts", "content_sha256"])
         .filter(expr=f"commit_ts <= {ts_b}")
     )
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        keys = [
-            f"{r}\x1f{p}"
-            for r, p in zip(
-                batch["repo"].to_pylist(), batch["path"].to_pylist()
-            )
-        ]
-        return batch.append_column(
-            "__bucket", pa.array(hash_bucket(keys, n_buckets))
-        )
 
     out_schema = pa.schema(
         [("repo", pa.string()), ("path", pa.string()), ("status", pa.string())]
@@ -215,10 +191,8 @@ def commit_diff(
             out, schema=out_schema, preserve_index=False
         )
 
-    return (
-        hashed.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(diff_bucket, batch_format="pandas")
+    return keyed_exchange(
+        hashed, ["repo", "path"], diff_bucket, n_buckets, batch_format="pandas"
     )
 
 
@@ -235,21 +209,10 @@ def file_history(
 
     The dimension-history primitive for the code table (point-in-time
     reads become a BETWEEN filter instead of an as-of argmax per query).
-    ONE exchange keyed on hash(repo|path); every version of a path lands
+    ONE exchange keyed on (repo, path); every version of a path lands
     in the same bucket, where a single vectorized pandas pass (sort +
     ``groupby.shift(-1)``) computes the lead timestamp — never one Python
     call per path."""
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        keys = [
-            f"{r}\x1f{p}"
-            for r, p in zip(
-                batch["repo"].to_pylist(), batch["path"].to_pylist()
-            )
-        ]
-        return batch.append_column(
-            "__bucket", pa.array(hash_bucket(keys, n_buckets))
-        )
 
     out_schema = pa.schema(
         [
@@ -286,11 +249,12 @@ def file_history(
             out, schema=out_schema, preserve_index=False
         )
 
-    return (
-        ds.select_columns(["repo", "path", "commit", "commit_ts"])
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(intervals, batch_format="pandas")
+    return keyed_exchange(
+        ds.select_columns(["repo", "path", "commit", "commit_ts"]),
+        ["repo", "path"],
+        intervals,
+        n_buckets,
+        batch_format="pandas",
     )
 
 
@@ -615,14 +579,12 @@ def clone_pairs(
             sel = _winnow(content.split())
             fids.extend([f"{repo}{_ID_SEP}{path}"] * len(sel))
             fps.extend(sel.tolist())
-        t = pa.table(
+        return pa.table(
             {
                 "fid": pa.array(fids, type=pa.string()),
                 "fp": pa.array(fps, type=pa.int64()),
             }
         )
-        b = hash_bucket([str(v) for v in t["fp"].to_pylist()], n_buckets)
-        return t.append_column("__bucket", pa.array(b))
 
     pair_schema = pa.schema(
         [("id_a", pa.string()), ("id_b", pa.string()), ("n", pa.int64())]
@@ -647,9 +609,8 @@ def clone_pairs(
     fps = snap.select_columns(["repo", "path", "content"]).map_batches(
         fingerprints, batch_format="pyarrow"
     )
-    pairs = (
-        fps.groupby("__bucket")
-        .map_groups(pairs_bucket, batch_format="pandas")
+    pairs = keyed_exchange(
+        fps, ["fp"], pairs_bucket, n_buckets, batch_format="pandas"
     )
     counts = grouped_agg(
         pairs,
@@ -764,24 +725,13 @@ def import_history(
     did the dependency graph look like at ts?" becomes a BETWEEN filter,
     and an edge removed then re-added shows two intervals.
 
-    ONE exchange keyed hash(repo|path) — every version of a file lands in
+    ONE exchange keyed on (repo, path) — every version of a file lands in
     one bucket; the per-bucket pass is vectorized except the per-version
     compiled-regex import scan (inherent, same as `import_edges`):
     version lead-timestamps via the nullable-Int64 ``groupby.shift(-1)``
     (the float64 shift corrupts timestamps above 2^53 — see
     `file_history`), then island-merge per edge via the classic
     ``start != lag(end)`` group-id cumsum."""
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        keys = [
-            f"{r}\x1f{p}"
-            for r, p in zip(
-                batch["repo"].to_pylist(), batch["path"].to_pylist()
-            )
-        ]
-        return batch.append_column(
-            "__bucket", pa.array(hash_bucket(keys, n_buckets))
-        )
 
     out_schema = pa.schema(
         [
@@ -842,11 +792,12 @@ def import_history(
             }
         )
 
-    return (
-        ds.select_columns(["repo", "path", "commit_ts", "content"])
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(intervals, batch_format="pandas")
+    return keyed_exchange(
+        ds.select_columns(["repo", "path", "commit_ts", "content"]),
+        ["repo", "path"],
+        intervals,
+        n_buckets,
+        batch_format="pandas",
     )
 
 
@@ -1207,8 +1158,6 @@ def fork_pairs(
     repo list is copy-count sized, never corpus sized); set sizes are a
     |repos|-row broadcast.  Output (repo_a, repo_b, n_shared, jaccard).
     """
-    from ray.data.aggregate import Sum
-
     snap = latest_snapshot(
         ds.select_columns(["repo", "path", "commit_ts", "content"]),
         n_buckets=n_buckets,
@@ -1234,14 +1183,6 @@ def fork_pairs(
         ).take_all()
     }
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array(
-                hash_bucket(batch["content_sha256"].to_pylist(), n_buckets)
-            ),
-        )
-
     def pairs_bucket(g: pd.DataFrame) -> pa.Table:
         out_a, out_b, out_n = [], [], []
         for _, grp in g.groupby("content_sha256", sort=False):
@@ -1260,9 +1201,9 @@ def fork_pairs(
         )
 
     shared = grouped_agg(
-        rs.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(pairs_bucket, batch_format="pandas"),
+        keyed_exchange(
+            rs, ["content_sha256"], pairs_bucket, n_buckets, batch_format="pandas"
+        ),
         keys=["repo_a", "repo_b"],
         aggs={"n_shared": ("n", "sum")},
         n_buckets=n_buckets,

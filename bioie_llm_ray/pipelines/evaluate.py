@@ -140,39 +140,6 @@ def confusion_matrix(
     return total.reshape(n, n), labels
 
 
-def render_confusion_png(matrix, labels, path: str) -> str:
-    """K3 artifact parity (evaluator.py:135-165, result_comparer.py:125-128):
-    render the counts matrix to a PNG.  matplotlib is not in this container —
-    import-gated; the counts matrix from ``confusion_matrix`` is the data
-    product either way."""
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError as e:  # pragma: no cover - env without matplotlib
-        raise NotImplementedError(
-            "confusion-matrix PNG rendering requires matplotlib; the counts "
-            "matrix itself is returned by confusion_matrix()"
-        ) from e
-    import numpy as np
-
-    m = np.asarray(matrix)
-    fig, ax = plt.subplots()
-    im = ax.imshow(m, cmap="Blues")
-    ax.set_xticks(range(len(labels)), labels)
-    ax.set_yticks(range(len(labels)), labels)
-    ax.set_xlabel("predicted")
-    ax.set_ylabel("true")
-    for i in range(len(labels)):
-        for j in range(len(labels)):
-            ax.text(j, i, str(int(m[i, j])), ha="center", va="center")
-    fig.colorbar(im)
-    fig.savefig(path, dpi=300)
-    plt.close(fig)
-    return path
-
-
 def full_match_intersection(
     per_model: dict[str, ray.data.Dataset], k: int = 10
 ) -> dict:
@@ -347,18 +314,10 @@ def unanimous_consensus(per_model: dict[str, ray.data.Dataset]) -> ray.data.Data
     union = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
     n_models = len(per_model)
 
-    # bucket-group: shuffle by hash(src) % B (src cardinality = query count,
-    # unbounded), one vectorized pandas pass per bucket instead of one
-    # map_groups call per key
-    from ..functions.hashing import hash_bucket
-
-    n_buckets = 32
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array(hash_bucket(batch["src"].to_pylist(), n_buckets)),
-        )
+    # bucket-group: one keyed exchange on src (src cardinality = query
+    # count, unbounded), one vectorized pandas pass per bucket instead of
+    # one map_groups call per key
+    from ..stages.exchange import keyed_exchange
 
     def consensus_bucket(g):
         stats = g.groupby("src").agg(
@@ -366,10 +325,8 @@ def unanimous_consensus(per_model: dict[str, ray.data.Dataset]) -> ray.data.Data
         )
         ok = stats[(stats["n_pred"] == 1) & (stats["n_model"] == n_models)].index
         kept = g[g["src"].isin(ok)].drop_duplicates(subset=["src"])
-        return kept.drop(columns=["model", "__bucket"])
+        return kept.drop(columns=["model"])
 
-    return (
-        union.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(consensus_bucket, batch_format="pandas")
+    return keyed_exchange(
+        union, ["src"], consensus_bucket, 32, batch_format="pandas"
     )

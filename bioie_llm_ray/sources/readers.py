@@ -109,16 +109,11 @@ def edges_to_adjacency(edges: ray.data.Dataset, n_buckets: int = 64) -> ray.data
     """G1: symmetric edge stream → (src, sorted distinct neighbors).
 
     The canonicalization/grouping shuffle (SURVEY §2.6 G1).  Grouped by
-    ``hash(src) % n_buckets`` rather than by ``src`` itself: one pandas
-    groupby-agg per bucket instead of one Python call per entity (at a
-    10^6-entity vocabulary the per-key variant would make 10^6 UDF calls).
+    a hash of ``src`` into ``n_buckets`` rather than by ``src`` itself: one
+    pandas groupby-agg per bucket instead of one Python call per entity (at
+    a 10^6-entity vocabulary the per-key variant would make 10^6 UDF calls).
     """
-    from ..functions.hashing import hash_bucket
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket", pa.array(hash_bucket(batch["src"].to_pylist(), n_buckets))
-        )
+    from ..stages.exchange import keyed_exchange
 
     def collect_bucket(group: pa.Table):
         import pandas as pd
@@ -129,11 +124,7 @@ def edges_to_adjacency(edges: ray.data.Dataset, n_buckets: int = 64) -> ray.data
         )
         return pd.DataFrame({"src": agg.index, "neighbors": agg.values})
 
-    return (
-        edges.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(collect_bucket, batch_format="pyarrow")
-    )
+    return keyed_exchange(edges, ["src"], collect_bucket, n_buckets)
 
 
 def read_kegg_pathways(path: str) -> ray.data.Dataset:

@@ -9,8 +9,8 @@ skew control that makes the pair-generation shuffle safe at corpus scale.
 Pairs are then weighted by their common-block count (CBS) and thresholded —
 the cheapest meta-blocking weight, computed here as a groupby count.
 
-Shuffle shape: (token, doc) rows group by ``hash(token) % B`` (one
-vectorized pandas pass per bucket, never one Python call per block);
+Shuffle shape: (token, doc) rows regroup by token in one keyed exchange
+(one vectorized pandas pass per bucket, never one Python call per block);
 surviving pairs group by (id_a, id_b) with a Count — both bounded exchanges.
 """
 
@@ -21,7 +21,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from ..functions.hashing import hash_bucket
+from .exchange import keyed_exchange
 
 
 def token_blocking_pairs(
@@ -69,12 +69,6 @@ def token_blocking_pairs(
 
     tb = ds.map_batches(tokenize, batch_format="pyarrow")
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array(hash_bucket(batch["token"].to_pylist(), n_buckets)),
-        )
-
     pair_schema = pa.schema(
         [("id_a", pa.int64()), ("id_b", pa.int64())]
     )
@@ -117,10 +111,8 @@ def token_blocking_pairs(
             }
         ).cast(pair_schema)
 
-    pairs = (
-        tb.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(pairs_bucket, batch_format="pandas")
+    pairs = keyed_exchange(
+        tb, ["token"], pairs_bucket, n_buckets, batch_format="pandas"
     )
 
     # CBS weighting via the bucketed combiner aggregate — the native

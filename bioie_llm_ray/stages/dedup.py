@@ -75,16 +75,12 @@ def _add_dedup_key(
     return batch.set_column(batch.column_names.index(_KEY_COL), _KEY_COL, keys)
 
 
-def _key_buckets(batch: pa.Table, n_buckets: int) -> np.ndarray:
-    return hash_bucket(batch[_KEY_COL].to_pylist(), n_buckets)
-
-
 def _dedup_exchange(ds, key_cols: list[str], kernel, n_buckets: int, **salt):
     """Key every row, run ``kernel`` per key bucket, drop the key."""
     keyed = ds.map_batches(
         lambda b: _add_dedup_key(b, key_cols, **salt), batch_format="pyarrow"
     )
-    return keyed_exchange(keyed, _key_buckets, kernel, n_buckets).drop_columns(
+    return keyed_exchange(keyed, [_KEY_COL], kernel, n_buckets).drop_columns(
         [_KEY_COL]
     )
 

@@ -14,7 +14,7 @@ Shuffle shape (the same discipline as `stages/neardup.py`):
 
 1. one streaming pass emits per-row DISTINCT ``(variant, id)`` keys —
    ≤ ``1 + l·d`` rows per string at d ≤ 2;
-2. one exchange keyed ``hash(variant) % n_buckets``; within each bucket a
+2. one keyed exchange on the variant; within each bucket a
    single vectorized pandas self-merge per variant group generates
    candidate pairs (``id_a < id_b``) — never one Python call per variant;
 3. pairs are exact-deduped (the same pair arises from many shared
@@ -41,10 +41,8 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
-from ..functions.hashing import hash_bucket
 from .dedup import exact_dedup
-
-_BUCKET = "__ed_bucket"
+from .exchange import keyed_exchange
 
 
 def deletion_variants(s: str, d: int) -> set[str]:
@@ -142,14 +140,11 @@ def edit_distance_pairs(
             for v in deletion_variants(s or "", max_dist):
                 ids_out.append(i)
                 var_out.append(v)
-        t = pa.table(
+        return pa.table(
             {
                 "id": pa.array(ids_out),
                 "variant": pa.array(var_out, type=pa.string()),
             }
-        )
-        return t.append_column(
-            _BUCKET, pa.array(hash_bucket(var_out, n_buckets))
         )
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -183,15 +178,12 @@ def edit_distance_pairs(
                 ids_out.append(i)
                 key_out.append(key)
                 role_out.append(role)
-        t = pa.table(
+        return pa.table(
             {
                 "id": pa.array(ids_out),
                 "key": pa.array(key_out, type=pa.string()),
                 "role": pa.array(role_out, type=pa.string()),
             }
-        )
-        return t.append_column(
-            _BUCKET, pa.array(hash_bucket(key_out, n_buckets))
         )
 
     def seg_pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -204,17 +196,16 @@ def edit_distance_pairs(
         return pd.DataFrame({"id_a": a, "id_b": b}).drop_duplicates()
 
     if method == "deletion":
-        cand = (
-            ds.map_batches(variants, batch_format="pyarrow")
-            .groupby(_BUCKET)
-            .map_groups(pairs_in_bucket, batch_format="pandas")
-        )
+        keys, key_col, bucket_pairs = variants, "variant", pairs_in_bucket
     else:
-        cand = (
-            ds.map_batches(segment_keys, batch_format="pyarrow")
-            .groupby(_BUCKET)
-            .map_groups(seg_pairs_in_bucket, batch_format="pandas")
-        )
+        keys, key_col, bucket_pairs = segment_keys, "key", seg_pairs_in_bucket
+    cand = keyed_exchange(
+        ds.map_batches(keys, batch_format="pyarrow"),
+        [key_col],
+        bucket_pairs,
+        n_buckets,
+        batch_format="pandas",
+    )
     pairs = exact_dedup(cand, ["id_a", "id_b"], n_buckets=n_buckets)
 
     # --- text re-fetch (broadcast ids when small, shuffle joins when not) --

@@ -1,10 +1,11 @@
-"""The keyed exchange every bucket-kernel stage shares.
+"""The keyed exchange every hash-bucketed stage shares.
 
 A bucket kernel takes a table of rows and regroups them by its real key
-itself (a sort, an Arrow ``group_by`` or a ``np.unique``), so it never
-needs one Python call per key.  The exchange only has to bring rows that
-share a key into one call: rows are routed by ``bucket_ids(batch, B)``,
-a deterministic function of the key, and the kernel runs once per bucket.
+itself (a sort, an Arrow ``group_by``, a pandas ``groupby`` or a
+``np.unique``), so it never needs one Python call per key.  The exchange
+only has to bring rows that share a key into one call: ``keyed_exchange``
+routes each row by a hash of its key columns and runs the kernel once per
+bucket, on a pyarrow table or a pandas frame (``batch_format``).
 
 Because the kernel regroups inside the table, one call over all rows gives
 the same rows as one call per bucket.  So when the input fits one bucket
@@ -15,15 +16,21 @@ warm local session that costs 10-30 ms more than a plain map, where a
 
 ``n_buckets_for_bytes`` sizes B from the input's bytes, so B = 1 whenever
 the input fits one bucket.
+
+Not built on it: exchanges of two inputs (``graph.py``, ``join.py``),
+range-bucketed scans whose bucket is an ordered range of a value rather
+than a hash (``scan.py`` and the time or id ranges some queries tag),
+and kernels that read their own bucket id.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
 import pyarrow as pa
 import ray
+
+from ..functions.hashing import bucket_ids_for_column, bucket_ids_for_columns
 
 # not "__bucket": callers may carry a bucket column of their own
 _BUCKET = "__kx_bucket"
@@ -66,31 +73,43 @@ def one_task(
 
 def keyed_exchange(
     ds: ray.data.Dataset,
-    bucket_ids: Callable[[pa.Table, int], np.ndarray],
-    kernel: Callable[[pa.Table], pa.Table],
+    keys: list[str],
+    kernel: Callable,
     n_buckets: int,
+    batch_format: str = "pyarrow",
 ) -> ray.data.Dataset:
-    """``kernel`` over each group of rows that share a bucket.
+    """``kernel`` over each group of rows that share a bucket of ``keys``.
 
-    ``bucket_ids(batch, n_buckets)`` gives each row's bucket in
-    ``[0, n_buckets)``; rows with the same key must land in the same
-    bucket.  The kernel sees the input columns only, never the bucket id.
-    With ``n_buckets == 1`` the kernel runs once over all rows and
-    ``bucket_ids`` is never called.
+    A row's bucket is a hash of its ``keys`` columns: one column through
+    ``bucket_ids_for_column``, several through ``bucket_ids_for_columns``
+    (vectorized for integer keys, md5 of the string form otherwise), so
+    rows with the same key always meet in one kernel call.  The kernel gets
+    a ``batch_format`` batch ("pyarrow" or "pandas") of the input columns
+    only, never the bucket id.  With ``n_buckets == 1`` the kernel runs
+    once over all rows and nothing is hashed.
     """
     if n_buckets == 1:
-        return one_task(ds, kernel)
+        if batch_format == "pyarrow":
+            return one_task(ds, kernel)
+        return ds.repartition(1).map_batches(
+            kernel, batch_format=batch_format, batch_size=None
+        )
 
     def add_bucket(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(bucket_ids(batch, n_buckets), dtype=np.int64)
-        return batch.append_column(_BUCKET, pa.array(ids))
+        if len(keys) == 1:
+            ids = bucket_ids_for_column(batch[keys[0]], n_buckets)
+        else:
+            ids = bucket_ids_for_columns([batch[k] for k in keys], n_buckets)
+        return batch.append_column(_BUCKET, pa.array(ids, type=pa.int64()))
 
-    def per_bucket(group: pa.Table) -> pa.Table:
+    def per_bucket(group):
+        if batch_format == "pandas":
+            return kernel(group.drop(columns=[_BUCKET]))
         return kernel(group.drop_columns([_BUCKET]))
 
     per_bucket.__name__ = getattr(kernel, "__name__", "per_bucket")
     return (
         ds.map_batches(add_bucket, batch_format="pyarrow")
         .groupby(_BUCKET)
-        .map_groups(per_bucket, batch_format="pyarrow")
+        .map_groups(per_bucket, batch_format=batch_format)
     )

@@ -40,6 +40,7 @@ from ..functions.hashing import (
     hash_bucket_ints,
     stable_hash_u64,
 )
+from .exchange import keyed_exchange
 
 _B = "__bucket"
 
@@ -82,13 +83,7 @@ def _large_star(edges: ray.data.Dataset, n_buckets: int) -> ray.data.Dataset:
         v = batch["v"].to_numpy(zero_copy_only=False)
         node = np.concatenate([u, v])
         nbr = np.concatenate([v, u])
-        return pa.table(
-            {
-                "n": pa.array(node),
-                "x": pa.array(nbr),
-                _B: pa.array(_bucket_ids(node, n_buckets)),
-            }
-        )
+        return pa.table({"n": pa.array(node), "x": pa.array(nbr)})
 
     def star(group: pd.DataFrame) -> pd.DataFrame:
         group = group.drop_duplicates(["n", "x"])
@@ -100,22 +95,18 @@ def _large_star(edges: ray.data.Dataset, n_buckets: int) -> ray.data.Dataset:
             {"u": out["x"].to_numpy(), "v": out["m"].to_numpy()}
         ).drop_duplicates()
 
-    return (
-        edges.map_batches(bidir, batch_format="pyarrow")
-        .groupby(_B)
-        .map_groups(star, batch_format="pandas")
+    return keyed_exchange(
+        edges.map_batches(bidir, batch_format="pyarrow"),
+        ["n"],
+        star,
+        n_buckets,
+        batch_format="pandas",
     )
 
 
 def _small_star(edges: ray.data.Dataset, n_buckets: int) -> ray.data.Dataset:
     """For each node n (edges oriented n > v), m = min neighbor: emit
     (v, m) for v ∈ Γ⁻(n), v ≠ m, plus (n, m)."""
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        ids = _bucket_ids(
-            batch["u"].to_numpy(zero_copy_only=False), n_buckets
-        )
-        return batch.append_column(_B, pa.array(ids))
 
     def star(group: pd.DataFrame) -> pd.DataFrame:
         group = group.drop_duplicates(["u", "v"])
@@ -134,11 +125,7 @@ def _small_star(edges: ray.data.Dataset, n_buckets: int) -> ray.data.Dataset:
             }
         ).drop_duplicates()
 
-    return (
-        edges.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby(_B)
-        .map_groups(star, batch_format="pandas")
-    )
+    return keyed_exchange(edges, ["u"], star, n_buckets, batch_format="pandas")
 
 
 def _edge_fingerprint(edges: ray.data.Dataset) -> tuple[int, int]:
@@ -295,23 +282,18 @@ def aggregate_edges(
 
     def partial(batch: pa.Table) -> pa.Table:
         g = batch.group_by(ks).aggregate([([], "count_all")])
-        g = g.rename_columns(ks + ["__n"])
-        key0 = [
-            "\x1f".join(vals)
-            for vals in zip(*(g[k].to_pylist() for k in ks))
-        ]
-        return g.append_column(
-            _B, pa.array(hash_bucket(key0, n_buckets))
-        )
+        return g.rename_columns(ks + ["__n"])
 
     def reduce_bucket(group: pd.DataFrame) -> pd.DataFrame:
         out = group.groupby(ks, as_index=False)["__n"].sum()
         return out.rename(columns={"__n": support_col})
 
-    return (
-        triples.map_batches(partial, batch_format="pyarrow")
-        .groupby(_B)
-        .map_groups(reduce_bucket, batch_format="pandas")
+    return keyed_exchange(
+        triples.map_batches(partial, batch_format="pyarrow"),
+        ks,
+        reduce_bucket,
+        n_buckets,
+        batch_format="pandas",
     )
 
 
@@ -343,7 +325,6 @@ def node_degrees(
                 "entity": pa.array(ent, type=pa.string()),
                 "nbr": pa.array(nbr, type=pa.string()),
                 "w": pa.array(np.concatenate([w, w])),
-                _B: pa.array(_bucket_ids(ent, n_buckets)),
             }
         )
 
@@ -353,10 +334,12 @@ def node_degrees(
         )
         return out.reset_index()
 
-    return (
-        edges.map_batches(bidir, batch_format="pyarrow")
-        .groupby(_B)
-        .map_groups(reduce_bucket, batch_format="pandas")
+    return keyed_exchange(
+        edges.map_batches(bidir, batch_format="pyarrow"),
+        ["entity"],
+        reduce_bucket,
+        n_buckets,
+        batch_format="pandas",
     )
 
 
@@ -824,17 +807,6 @@ def _lpa_bucketed(
             partial=True,
         )
 
-        def best_tag(batch: pa.Table) -> pa.Table:
-            return batch.append_column(
-                _B,
-                pa.array(
-                    _bucket_ids(
-                        batch["node"].to_numpy(zero_copy_only=False),
-                        n_buckets,
-                    )
-                ),
-            )
-
         def best_of(group: pd.DataFrame) -> pd.DataFrame:
             g = group.sort_values(
                 ["node", "w", "label"],
@@ -844,10 +816,8 @@ def _lpa_bucketed(
             top = g.drop_duplicates("node", keep="first")
             return top[["node", "label"]].rename(columns={"label": "newlab"})
 
-        best = (
-            votes.map_batches(best_tag, batch_format="pyarrow")
-            .groupby(_B)
-            .map_groups(best_of, batch_format="pandas")
+        best = keyed_exchange(
+            votes, ["node"], best_of, n_buckets, batch_format="pandas"
         )
 
         def tag_lab(is_new: bool):
@@ -2457,7 +2427,6 @@ def strongly_connected_components(
                 "a": pa.array(a, type=id_type),
                 "b": pa.array(bb, type=id_type),
                 "fwd": pa.array(fwd, type=pa.bool_()),
-                _B: pa.array(_bucket_ids(a, n_buckets)),
             }
         )
 
@@ -2474,10 +2443,12 @@ def strongly_connected_components(
             }
         )
 
-    contrib = (
-        reach.map_batches(unordered, batch_format="pyarrow")
-        .groupby(_B)
-        .map_groups(mutual_pairs, batch_format="pandas")
+    contrib = keyed_exchange(
+        reach.map_batches(unordered, batch_format="pyarrow"),
+        ["a"],
+        mutual_pairs,
+        n_buckets,
+        batch_format="pandas",
     )
 
     def self_rows(b: pa.Table) -> pa.Table:
@@ -3249,7 +3220,6 @@ def maximal_matching(
     (output-identical: later unrolled rounds match nothing).
 
     Returns (u, v, round_matched) for the matched edges only."""
-    from ..functions.hashing import _splitmix64, bucket_ids_for_column
     from .dedup import exact_dedup
     from .join import shuffle_semi_join
     from .rollup import grouped_agg
@@ -3280,17 +3250,12 @@ def maximal_matching(
             p = (
                 _splitmix64(ek.astype(np.uint64)) ^ np.uint64(1 << 63)
             ).astype(np.int64)
-            node = np.concatenate([u, v])
-            t = pa.table(
+            return pa.table(
                 {
-                    "node": pa.array(node),
+                    "node": pa.array(np.concatenate([u, v])),
                     "p": pa.array(np.concatenate([p, p])),
                     "ek": pa.array(np.concatenate([ek, ek])),
                 }
-            )
-            return t.append_column(
-                "__bucket",
-                pa.array(bucket_ids_for_column(t["node"], n_buckets)),
             )
 
         def node_argmin(g: pd.DataFrame) -> pd.DataFrame:
@@ -3298,10 +3263,12 @@ def maximal_matching(
             first = g.groupby("node", sort=False).head(1)
             return first[["node", "ek"]]
 
-        mn = (
-            e.map_batches(ends, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(node_argmin, batch_format="pandas")
+        mn = keyed_exchange(
+            e.map_batches(ends, batch_format="pyarrow"),
+            ["node"],
+            node_argmin,
+            n_buckets,
+            batch_format="pandas",
         )
         wins = grouped_agg(
             mn,

@@ -36,6 +36,7 @@ import pyarrow.compute as pc
 import ray
 
 from ..functions.hashing import bucket_ids_for_column, hash_bucket
+from .exchange import keyed_exchange
 
 _TAG = "__side"
 _BUCKET = "__bucket"
@@ -880,8 +881,8 @@ def band_self_pairs(
     co-occurs in exactly the cell ``max(c_a, c_b)`` — the per-cell pass
     emits a pair iff that cell is the one being processed.  Within a
     cell the candidates are found by ONE vectorized ``searchsorted``
-    over the sorted values (no per-row Python); cells hash across
-    ``n_buckets`` groups.
+    over the sorted values (no per-row Python); cells regroup through one
+    keyed exchange of ``n_buckets`` buckets.
 
     Scale: the output is Θ(#qualifying pairs) — inherent to the
     predicate, same caveat as every similarity join; pick ``width`` so
@@ -904,10 +905,6 @@ def band_self_pairs(
                 "v": pa.array(out_v, type=pa.int64()),
                 "oc": pa.array(out_oc, type=pa.int64()),
                 "cell": pa.array(out_cell, type=pa.int64()),
-                _BUCKET: pa.array(
-                    (out_cell % np.int64(n_buckets) + n_buckets)
-                    % np.int64(n_buckets)
-                ),
             }
         )
 
@@ -958,8 +955,10 @@ def band_self_pairs(
             )
         return pd.concat(outs, ignore_index=True)
 
-    return (
-        ds.map_batches(replicate, batch_format="pyarrow")
-        .groupby(_BUCKET)
-        .map_groups(pairs_in_bucket, batch_format="pandas")
+    return keyed_exchange(
+        ds.map_batches(replicate, batch_format="pyarrow"),
+        ["cell"],
+        pairs_in_bucket,
+        n_buckets,
+        batch_format="pandas",
     )

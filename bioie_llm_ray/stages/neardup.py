@@ -43,7 +43,7 @@ import pyarrow.compute as pc
 import ray
 
 from ..functions.arrowio import from_pandas_clean
-from ..functions.hashing import _splitmix64, hash_bucket, hash_bucket_ints
+from ..functions.hashing import _splitmix64
 from .exchange import keyed_exchange, one_task
 
 _MERSENNE = np.uint64((1 << 61) - 1)
@@ -327,17 +327,6 @@ def _new_key(*cols: np.ndarray) -> np.ndarray:
     return new
 
 
-def _band_buckets(batch: pa.Table, n: int) -> np.ndarray:
-    """Bucket of each band row's (band_id, band_hash) key.  Fully
-    vectorized: the int64 band key is already md5-derived, so one
-    splitmix mix of (key, band_id) replaces a per-row string build."""
-    bh = batch["band_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    bid = batch["band_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    return (
-        _splitmix64(bh + bid * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(n)
-    ).astype(np.int64)
-
-
 def _lsh_chain_pairs(bands: pa.Table, id_col: str) -> pa.Table:
     """Band rows → (id_a, id_b) pairs, id_a ≤ id_b: within each LSH bucket
     (equal band_id and band_hash) chain consecutive ids, so a duplicate
@@ -392,7 +381,9 @@ def minhash_lsh_candidates(
     def bucket_pairs(group: pa.Table) -> pa.Table:
         return _lsh_chain_pairs(group, id_col)
 
-    pairs = keyed_exchange(bands, _band_buckets, bucket_pairs, n_hash_buckets)
+    pairs = keyed_exchange(
+        bands, ["band_id", "band_hash"], bucket_pairs, n_hash_buckets
+    )
     return _distinct_pairs(pairs, n_hash_buckets)
 
 
@@ -425,33 +416,24 @@ def _distinct_pair_rows(pairs: pa.Table) -> pa.Table:
     return pairs.take(rows.group_by("k").aggregate([("i", "min")])["i_min"])
 
 
-def _pair_buckets(pairs: pa.Table, n: int) -> np.ndarray:
-    """Bucket of each (id_a, id_b): one splitmix mix of the two ids for
-    integer ids, md5 of ``_pair_keys`` otherwise."""
-    ab = _int_pair_ids(pairs)
-    if ab is not None:
-        a, b = (x.astype(np.uint64) for x in ab)
-        return hash_bucket_ints(_splitmix64(a) + b, n)
-    return hash_bucket(_pair_keys(pairs).to_pylist(), n)
-
-
 def _distinct_pairs(pairs: ray.data.Dataset, n_buckets: int) -> ray.data.Dataset:
     """Exact dedup of (id_a, id_b) rows: one ``_distinct_pair_rows`` per
     bucket of the pair."""
-    return keyed_exchange(pairs, _pair_buckets, _distinct_pair_rows, n_buckets)
+    return keyed_exchange(pairs, ["id_a", "id_b"], _distinct_pair_rows, n_buckets)
 
 
-def _jaccard_verified(
-    pairs: pa.Table, texts, threshold: float, n_shingle: int
-) -> pa.Table:
-    """``pairs`` with a ``jaccard`` column appended, kept where ≥ threshold.
+def _pair_overlaps(
+    pairs: pa.Table, texts, n_shingle: int
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """``(|A ∩ B|, |A|, |B|)`` of each (id_a, id_b) row's shingle sets.
 
     ``texts`` maps each id in ``pairs`` to its text.  Each doc's shingle
     set is built ONCE per call, not once per pair — a doc in k candidate
     pairs would otherwise re-tokenize k times (measured 55 s -> ~4 s on
     431k candidates over 5k docs) — and all of them from one
     ``_batch_shingle_hashes`` call; only the set intersections run per
-    pair."""
+    pair.  Every doc has at least one shingle (an empty doc hashes the
+    empty word), so no set is empty."""
     ids_a = pairs["id_a"].to_numpy().tolist()
     ids_b = pairs["id_b"].to_numpy().tolist()
     ids = list(dict.fromkeys(ids_a + ids_b))
@@ -464,8 +446,15 @@ def _jaccard_verified(
     inter = np.fromiter(map(len, map(set.intersection, sa, sb)), np.int64, n)
     size_a = np.fromiter(map(len, sa), np.int64, n)
     size_b = np.fromiter(map(len, sb), np.int64, n)
-    # every doc has at least one shingle (an empty doc hashes the empty
-    # word), so the union is never empty
+    return inter, size_a, size_b
+
+
+def _jaccard_verified(
+    pairs: pa.Table, texts, threshold: float, n_shingle: int
+) -> pa.Table:
+    """``pairs`` with a ``jaccard`` column appended, kept where ≥ threshold
+    (``texts`` as in ``_pair_overlaps``)."""
+    inter, size_a, size_b = _pair_overlaps(pairs, texts, n_shingle)
     ja = inter / (size_a + size_b - inter)
     out = pairs.append_column("jaccard", pa.array(ja, type=pa.float64()))
     return out.filter(pc.greater_equal(out["jaccard"], threshold))
@@ -502,32 +491,57 @@ def verify_jaccard_pairs_join(
     n_buckets: int = 32,
     max_broadcast_ids: int = 2_000_000,
 ) -> ray.data.Dataset:
-    """Scale path for pair verification: re-fetch text via two shuffle joins.
+    """Scale path for pair verification: (id_a, id_b, jaccard) rows with
+    Jaccard ≥ threshold, over texts re-fetched by ``_verify_pairs_join``.
 
     ``verify_jaccard_pairs`` broadcasts an id→text dict — an OOM when the
-    corpus no longer fits on the driver.  Here the text side streams: join
-    candidates to ``docs`` on ``id_a`` (text_a), then on ``id_b`` (text_b),
-    then one Jaccard pass per batch.
+    corpus no longer fits on the driver; here the text side streams when
+    the candidates' distinct ids are too many to broadcast.  The pair
+    queries reach this function only when their input spans more than one
+    bucket; an input that fits one bucket verifies inside the one task that
+    found its candidates (``minhash_neardup_pairs``,
+    ``ngram_jaccard_pairs``).
+    """
+
+    def score(batch: pa.Table, texts) -> pa.Table:
+        return _jaccard_verified(batch, texts, threshold, n_shingle)
+
+    return _verify_pairs_join(
+        pairs, docs, score, id_col, text_col, id_type, n_buckets,
+        max_broadcast_ids,
+    )
+
+
+def _verify_pairs_join(
+    pairs: ray.data.Dataset,
+    docs: ray.data.Dataset,
+    score,
+    id_col: str,
+    text_col: str,
+    id_type: "pa.DataType | None",
+    n_buckets: int,
+    max_broadcast_ids: int,
+) -> ray.data.Dataset:
+    """``score(batch, texts)`` over batches of (id_a, id_b) ``pairs``, where
+    ``texts`` maps every id of the batch to its text in ``docs``.
 
     When the candidates' DISTINCT id set is small enough to broadcast, the
-    docs side is semi-filtered against it and the surviving texts verify
-    via the broadcast kernel — driver memory is bounded by the distinct-id
-    count (≤ corpus row count), never by the pair count.  Gating on pair
-    count was a scale bug: a duplication-heavy corpus emits tens of
-    millions of candidate PAIRS over a few thousand distinct docs, and the
-    join path those candidates were routed to ships a copy of each text
-    PER PAIR through two shuffles (~pair_count × text_bytes of exchange —
-    measured ~130 GB at the sf1 sweep, 714 s wall) when the whole distinct
-    text set was ~75 MB.  Above ``max_broadcast_ids`` DISTINCT ids the
-    full corpus streams through the bucketed joins — no driver
-    materialization of text in that mode.
+    docs side is semi-filtered against it and the surviving texts are
+    broadcast to the score map — driver memory is bounded by the
+    distinct-id count (≤ corpus row count), never by the pair count.
+    Gating on pair count was a scale bug: a duplication-heavy corpus emits
+    tens of millions of candidate PAIRS over a few thousand distinct docs,
+    and the join path those candidates were routed to ships a copy of each
+    text PER PAIR through two shuffles (~pair_count × text_bytes of
+    exchange — measured ~130 GB at the sf1 sweep, 714 s wall) when the
+    whole distinct text set was ~75 MB.  Above ``max_broadcast_ids``
+    DISTINCT ids the full corpus streams through two bucketed joins (on
+    ``id_a``, then on ``id_b``) — no driver materialization of text in
+    that mode.
 
-    The broadcast gate costs five driver calls before the verify map runs
+    The broadcast gate costs five driver calls before the score map runs
     (``materialize`` of the pairs and of the distinct ids, ``count``, and
-    two ``take_all``).  The pair queries reach this function only when
-    their input spans more than one bucket; an input that fits one bucket
-    verifies inside the one task that found its candidates
-    (``minhash_neardup_pairs``, ``ngram_jaccard_pairs``).
+    two ``take_all``).
     """
     from .dedup import exact_dedup
     from .join import anti_semi_filter, shuffle_join
@@ -554,15 +568,19 @@ def verify_jaccard_pairs_join(
     ).materialize()
     if distinct_ids.count() <= max_broadcast_ids:
         id_set = {str(r["id"]) for r in distinct_ids.take_all()}
-        texts = {
-            r[id_col]: r[text_col]
-            for r in anti_semi_filter(docs, id_set, keys=id_col)
-            .select_columns([id_col, text_col])
-            .take_all()
-        }
-        return verify_jaccard_pairs(
-            pairs, texts, threshold=threshold, n_shingle=n_shingle
+        ref = ray.put(
+            {
+                r[id_col]: r[text_col]
+                for r in anti_semi_filter(docs, id_set, keys=id_col)
+                .select_columns([id_col, text_col])
+                .take_all()
+            }
         )
+
+        def score_broadcast(batch: pa.Table) -> pa.Table:
+            return score(batch, ray.get(ref))
+
+        return pairs.map_batches(score_broadcast, batch_format="pyarrow")
 
     def side(col_id: str, col_text: str):
         def rename(batch: pa.Table) -> pa.Table:
@@ -590,14 +608,12 @@ def verify_jaccard_pairs_join(
         right_schema={"id_b": id_type, "text_b": pa.string()},
     )
 
-    def verify(batch: pa.Table) -> pa.Table:
+    def score_joined(batch: pa.Table) -> pa.Table:
         texts = dict(zip(batch["id_a"].to_pylist(), batch["text_a"].to_pylist()))
         texts.update(zip(batch["id_b"].to_pylist(), batch["text_b"].to_pylist()))
-        return _jaccard_verified(
-            batch.select(["id_a", "id_b"]), texts, threshold, n_shingle
-        )
+        return score(batch.select(["id_a", "id_b"]), texts)
 
-    return j2.map_batches(verify, batch_format="pyarrow")
+    return j2.map_batches(score_joined, batch_format="pyarrow")
 
 
 # docs hashed at once by the hashing map in front of a one-task pair
@@ -831,7 +847,6 @@ def simhash_dedup(
     fingerprint and is dropped before the exchange, as the SQL oracle's
     token filter drops it.
     """
-    from ..functions.hashing import bucket_ids_for_column
 
     def drop_tokenless(batch: pa.Table) -> pa.Table:
         return batch.filter(
@@ -845,9 +860,6 @@ def simhash_dedup(
         SimHasher(text_col=text_col), batch_format="pyarrow"
     ).map_batches(drop_tokenless, batch_format="pyarrow")
 
-    def simhash_buckets(batch: pa.Table, n: int) -> np.ndarray:
-        return bucket_ids_for_column(batch["simhash"], n)
-
     def first_by_id(group: pa.Table) -> pa.Table:
         order = pc.sort_indices(
             group,
@@ -860,7 +872,7 @@ def simhash_dedup(
         first[1:] = sims[1:] != sims[:-1]
         return sorted_t.filter(pa.array(first))
 
-    return keyed_exchange(hashed, simhash_buckets, first_by_id, n_hash_buckets)
+    return keyed_exchange(hashed, ["simhash"], first_by_id, n_hash_buckets)
 
 
 def simhash_neardup_pairs(
@@ -905,22 +917,12 @@ def simhash_neardup_pairs(
             ]
         ) if n else np.array([], dtype=np.int64)
         sim64 = np.tile(sigs.astype(np.int64), n_bands) if n else np.array([], dtype=np.int64)
-        # vectorized bucket of the (band_id, band_val) group key — any
-        # deterministic mix works (grouping only needs same-key-same-bucket)
-        bucket = (
-            _splitmix64(
-                band_val.astype(np.uint64)
-                + band_id.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-            )
-            % np.uint64(n_hash_buckets)
-        ).astype(np.int64)
         return pa.table(
             {
                 id_col: out_id,
                 "band_id": pa.array(band_id, type=pa.int32()),
                 "band_val": pa.array(band_val, type=pa.int64()),
                 "simhash": pa.array(sim64, type=pa.int64()),
-                "__bucket": pa.array(bucket),
             }
         )
 
@@ -955,53 +957,52 @@ def simhash_neardup_pairs(
             pd.DataFrame({"id_a": a_ids, "id_b": b_ids, "hamming": ham[keep]})
         )
 
-    pairs = (
-        hashed.map_batches(explode_bands, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
+    pairs = keyed_exchange(
+        hashed.map_batches(explode_bands, batch_format="pyarrow"),
+        ["band_id", "band_val"],
+        bucket_pairs,
+        n_hash_buckets,
     )
     return _distinct_pairs(pairs, n_hash_buckets)
 
 
-class EmbeddingLSH:
-    """Actor: embedding list<float> → T sign-bucket ids (one per hash table).
+@functools.lru_cache(maxsize=8)
+def _hyperplanes(seed: int, n_tables: int, dim: int, n_planes: int) -> np.ndarray:
+    """(n_tables, dim, n_planes) random hyperplanes: a pure function of
+    the seed, built once per worker process."""
+    rng = np.random.RandomState(seed)
+    return rng.randn(n_tables, dim, n_planes).astype(np.float32)
+
+
+def _embedding_lsh_rows(
+    batch: pa.Table,
+    dim: int,
+    n_planes: int = 16,
+    n_tables: int = 1,
+    emb_col: str = "embedding",
+    seed: int = 42,
+) -> pa.Table:
+    """Embedding list<float> rows → T sign-bucket rows per input row.
 
     Multi-table random-hyperplane LSH: a near-dup pair straddling one
     table's hyperplane boundary still collides in another table, so recall
     rises as 1-(1-p^b)^T rather than the single-table p^b.  Each input row
-    explodes to ``n_tables`` (table_id, bucket) rows; the embedding travels
-    with the row for the within-bucket verify.
+    explodes to ``n_tables`` (lsh_table, lsh_bucket) rows; the embedding
+    travels with the row for the within-bucket verify.
     """
-
-    def __init__(
-        self,
-        dim: int,
-        n_planes: int = 16,
-        n_tables: int = 1,
-        emb_col: str = "embedding",
-        seed: int = 42,
-    ):
-        rng = np.random.RandomState(seed)
-        # (T, dim, n_planes): independent hyperplane sets per table
-        self.planes = rng.randn(n_tables, dim, n_planes).astype(np.float32)
-        self.n_tables = n_tables
-        self.emb_col = emb_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        emb = np.stack(batch[self.emb_col].to_numpy(zero_copy_only=False))
-        n = len(emb)
-        powers = 1 << np.arange(self.planes.shape[2], dtype=np.int64)
-        tables, buckets = [], []
-        for t in range(self.n_tables):
-            signs = (emb @ self.planes[t]) > 0
-            buckets.append(signs.astype(np.int64) @ powers)
-            tables.append(np.full(n, t, dtype=np.int32))
-        out = batch.take(
-            pa.array(np.tile(np.arange(n, dtype=np.int64), self.n_tables))
-        )
-        return out.append_column(
-            "lsh_table", pa.array(np.concatenate(tables))
-        ).append_column("lsh_bucket", pa.array(np.concatenate(buckets)))
+    planes = _hyperplanes(seed, n_tables, dim, n_planes)
+    emb = np.stack(batch[emb_col].to_numpy(zero_copy_only=False))
+    n = len(emb)
+    powers = 1 << np.arange(n_planes, dtype=np.int64)
+    tables, buckets = [], []
+    for t in range(n_tables):
+        signs = (emb @ planes[t]) > 0
+        buckets.append(signs.astype(np.int64) @ powers)
+        tables.append(np.full(n, t, dtype=np.int32))
+    out = batch.take(pa.array(np.tile(np.arange(n, dtype=np.int64), n_tables)))
+    return out.append_column(
+        "lsh_table", pa.array(np.concatenate(tables))
+    ).append_column("lsh_bucket", pa.array(np.concatenate(buckets)))
 
 
 def embedding_neardup_pairs(
@@ -1012,40 +1013,23 @@ def embedding_neardup_pairs(
     n_tables: int = 4,
     id_col: str = "vec_id",
     emb_col: str = "embedding",
-    concurrency: int | tuple[int, int] = 2,
     n_hash_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Cosine near-dup pairs via multi-table LSH sign buckets + verify.
 
-    Bucket-group pattern: the shuffle key is ``hash(table|bucket) % B``
-    (bounded reducers, not one group per LSH bucket); each reducer runs a
-    vectorized per-(table,bucket) pairwise verify.  Pairs found by several
-    tables dedup via the bucketed ``_distinct_pairs``, keeping one cosine.
+    Bucket-group pattern: rows regroup by (lsh_table, lsh_bucket) through
+    one keyed exchange of ``n_hash_buckets`` buckets (bounded reducers, not
+    one group per LSH bucket); each reducer runs a vectorized
+    per-(table,bucket) pairwise verify.  Pairs found by several tables
+    dedup via the bucketed ``_distinct_pairs``, keeping one cosine.  The
+    hashing is a plain task: its hyperplanes rebuild from the seed.
     """
-    from ..functions.hashing import hash_bucket
-
     bucketed = ds.map_batches(
-        EmbeddingLSH,
-        fn_constructor_kwargs={
-            "dim": dim,
-            "n_planes": n_planes,
-            "n_tables": n_tables,
-            "emb_col": emb_col,
-        },
+        lambda b: _embedding_lsh_rows(
+            b, dim, n_planes=n_planes, n_tables=n_tables, emb_col=emb_col
+        ),
         batch_format="pyarrow",
-        concurrency=concurrency,
     )
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        keys = [
-            f"{t}|{b}"
-            for t, b in zip(
-                batch["lsh_table"].to_pylist(), batch["lsh_bucket"].to_pylist()
-            )
-        ]
-        return batch.append_column(
-            "__bucket", pa.array(hash_bucket(keys, n_hash_buckets))
-        )
 
     empty = pa.table(
         {
@@ -1094,13 +1078,11 @@ def embedding_neardup_pairs(
             }
         )
 
-    pairs = (
-        bucketed.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(verify, batch_format="pyarrow")
+    pairs = keyed_exchange(
+        bucketed, ["lsh_table", "lsh_bucket"], verify, n_hash_buckets
     )
     # same pair may surface from several tables — keep one row per pair
-    return _distinct_pairs(pairs, 64)
+    return _distinct_pairs(pairs, n_hash_buckets)
 
 
 def _sorted_unique_shingles(texts, n_shingle: int) -> "tuple[np.ndarray, np.ndarray]":
@@ -1294,16 +1276,11 @@ def ngram_jaccard_pairs(
     def prefix_rows(batch: pa.Table) -> pa.Table:
         return _prefix_rows(batch, text_col, id_col, threshold, n_shingle)
 
-    def shingle_buckets(batch: pa.Table, n: int) -> np.ndarray:
-        # vectorized: the shingle is already a uniform uint64 hash — route
-        # it with the int splitmix kernel, never per-row str()+md5
-        return hash_bucket_ints(batch["shingle"].to_numpy(zero_copy_only=False), n)
-
     def bucket_pairs(group: pa.Table) -> pa.Table:
         return _prefix_pairs(group, id_col, threshold, id_type)
 
     rows = ds.map_batches(prefix_rows, batch_format="pyarrow")
-    pairs = keyed_exchange(rows, shingle_buckets, bucket_pairs, n_hash_buckets)
+    pairs = keyed_exchange(rows, ["shingle"], bucket_pairs, n_hash_buckets)
     cand = _distinct_pairs(pairs, n_hash_buckets)
     return verify_jaccard_pairs_join(
         cand,
@@ -1344,67 +1321,37 @@ def ngram_containment_pairs(
     ``n_super ≥ t·n_sub``; verification computes exact containment over
     re-fetched texts (broadcast semi-filter when the candidate id set is
     small, two shuffle joins when not)."""
-    from ..functions.hashing import hash_bucket
     from .dedup import exact_dedup
 
     if id_type is None:
         id_type = pa.int64()
 
     def shingle_rows(batch: pa.Table) -> pa.Table:
-        out_sh, out_idx, out_n, out_role = [], [], [], []
-        for i, text in enumerate(batch[text_col].to_pylist()):
-            u = np.unique(_token_hashes(text, n_shingle))
-            n = len(u)
-            out_sh.append(u)
-            out_idx.append(np.full(n, i, dtype=np.int64))
-            out_n.append(np.full(n, n, dtype=np.int64))
-            out_role.append(np.zeros(n, dtype=np.int8))  # 0 = index/super
-            plen = int(np.floor((1 - threshold) * n)) + 1
-            pref = u[:plen]
-            out_sh.append(pref)
-            out_idx.append(np.full(len(pref), i, dtype=np.int64))
-            out_n.append(np.full(len(pref), n, dtype=np.int64))
-            out_role.append(np.ones(len(pref), dtype=np.int8))  # 1 = probe
-        idx = np.concatenate(out_idx) if out_idx else np.array([], dtype=np.int64)
-        ids = batch[id_col].take(pa.array(idx, type=pa.int64()))
+        # every distinct shingle as an index (role 0) row, and the first
+        # floor((1−t)·n)+1 of them again as probe (role 1) rows
+        u, doc = _sorted_unique_shingles(batch[text_col], n_shingle)
+        n = np.bincount(doc, minlength=len(batch))
+        start = np.concatenate(([0], np.cumsum(n)[:-1]))
+        plen = np.floor((1 - threshold) * n).astype(np.int64) + 1
+        probe = np.arange(len(u)) - start[doc] < plen[doc]
+        d = np.concatenate([doc, doc[probe]])
         return pa.table(
             {
-                "shingle": pa.array(
-                    np.concatenate(out_sh) if out_sh else [],
-                    type=pa.uint64(),
-                ),
-                id_col: ids,
-                "n_sh": pa.array(
-                    np.concatenate(out_n) if out_n else [], type=pa.int64()
-                ),
+                "shingle": pa.array(np.concatenate([u, u[probe]]), type=pa.uint64()),
+                id_col: batch[id_col].take(pa.array(d, type=pa.int64())),
+                "n_sh": pa.array(n[d], type=pa.int64()),
                 "role": pa.array(
-                    np.concatenate(out_role) if out_role else [],
-                    type=pa.int8(),
+                    np.repeat(np.array([0, 1], dtype=np.int8), [len(u), len(d) - len(u)])
                 ),
             }
         )
 
     rows = ds.map_batches(shingle_rows, batch_format="pyarrow")
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        # vectorized int routing (see ngram_jaccard_pairs)
-        from ..functions.hashing import hash_bucket_ints
-
-        return batch.append_column(
-            "__bucket",
-            pa.array(
-                hash_bucket_ints(
-                    batch["shingle"].to_numpy(zero_copy_only=False),
-                    n_hash_buckets,
-                )
-            ),
-        )
-
+    # candidates as (id_a, id_b) = (sub, super): the key names the shared
+    # verify re-fetches texts by
     empty = pa.table(
-        {
-            "id_sub": pa.array([], type=id_type),
-            "id_super": pa.array([], type=id_type),
-        }
+        {"id_a": pa.array([], type=id_type), "id_b": pa.array([], type=id_type)}
     )
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
@@ -1428,114 +1375,25 @@ def ngram_containment_pairs(
         m = m[["i_p", "i_i"]].drop_duplicates()
         return pa.table(
             {
-                "id_sub": pa.array(m["i_p"].to_numpy(), type=id_type),
-                "id_super": pa.array(m["i_i"].to_numpy(), type=id_type),
+                "id_a": pa.array(m["i_p"].to_numpy(), type=id_type),
+                "id_b": pa.array(m["i_i"].to_numpy(), type=id_type),
             }
         )
 
-    pairs = (
-        rows.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
-    )
-    cand = exact_dedup(pairs, ["id_sub", "id_super"], n_buckets=n_buckets)
+    pairs = keyed_exchange(rows, ["shingle"], bucket_pairs, n_hash_buckets)
+    cand = exact_dedup(pairs, ["id_a", "id_b"], n_buckets=n_buckets)
 
-    # --- verify over re-fetched texts ------------------------------------
-    cand = cand.materialize()
-
-    def containment_batch(batch, texts_a, texts_b):
-        cache: dict = {}
-
-        def sset(i, text):
-            s = cache.get(i)
-            if s is None:
-                s = set(map(int, _token_hashes(text, n_shingle)))
-                cache[i] = s
-            return s
-
-        cs = []
-        for ia, ib, a, b in zip(
-            batch["id_sub"].to_pylist(),
-            batch["id_super"].to_pylist(),
-            texts_a,
-            texts_b,
-        ):
-            sa, sb = sset(ia, a), sset(ib, b)
-            cs.append(1.0 if not sa else len(sa & sb) / len(sa))
+    def score(batch: pa.Table, texts) -> pa.Table:
+        inter, size_sub, _ = _pair_overlaps(batch, texts, n_shingle)
         out = pa.table(
             {
-                "id_sub": batch["id_sub"],
-                "id_super": batch["id_super"],
-                "containment": pa.array(cs, type=pa.float64()),
+                "id_sub": batch["id_a"],
+                "id_super": batch["id_b"],
+                "containment": pa.array(inter / size_sub, type=pa.float64()),
             }
         )
         return out.filter(pc.greater_equal(out["containment"], threshold))
 
-    def _both_ids(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "id": pa.concat_arrays(
-                    [
-                        batch["id_sub"].combine_chunks(),
-                        batch["id_super"].combine_chunks(),
-                    ]
-                )
-            }
-        )
-
-    # gate on DISTINCT ids (≤ corpus rows), not pair count — the pair-count
-    # gate routed duplication-heavy corpora to the join path, which ships a
-    # text copy PER PAIR (see verify_jaccard_pairs_join)
-    distinct_ids = exact_dedup(
-        cand.map_batches(_both_ids, batch_format="pyarrow"), ["id"]
-    ).materialize()
-    if distinct_ids.count() <= max_broadcast_ids:
-        from .join import anti_semi_filter
-
-        id_set = {str(r["id"]) for r in distinct_ids.take_all()}
-        texts_ref = ray.put(
-            {
-                r[id_col]: r[text_col]
-                for r in anti_semi_filter(ds, id_set, keys=id_col)
-                .select_columns([id_col, text_col])
-                .take_all()
-            }
-        )
-
-        def verify_broadcast(batch: pa.Table) -> pa.Table:
-            texts = ray.get(texts_ref)
-            ta = [texts[i] for i in batch["id_sub"].to_pylist()]
-            tb = [texts[i] for i in batch["id_super"].to_pylist()]
-            return containment_batch(batch, ta, tb)
-
-        return cand.map_batches(verify_broadcast, batch_format="pyarrow")
-
-    from .join import shuffle_join
-
-    def side(col_id: str, col_text: str):
-        def rename(batch: pa.Table) -> pa.Table:
-            return pa.table({col_id: batch[id_col], col_text: batch[text_col]})
-
-        return ds.map_batches(rename, batch_format="pyarrow")
-
-    j1 = shuffle_join(
-        cand, side("id_sub", "text_a"), keys="id_sub", n_buckets=n_buckets,
-        left_schema={"id_sub": id_type, "id_super": id_type},
-        right_schema={"id_sub": id_type, "text_a": pa.string()},
+    return _verify_pairs_join(
+        cand, ds, score, id_col, text_col, id_type, n_buckets, max_broadcast_ids
     )
-    j2 = shuffle_join(
-        j1, side("id_super", "text_b"), keys="id_super", n_buckets=n_buckets,
-        left_schema={
-            "id_super": id_type, "id_sub": id_type, "text_a": pa.string()
-        },
-        right_schema={"id_super": id_type, "text_b": pa.string()},
-    )
-
-    def verify_join(batch: pa.Table) -> pa.Table:
-        return containment_batch(
-            batch,
-            batch["text_a"].to_pylist(),
-            batch["text_b"].to_pylist(),
-        )
-
-    return j2.map_batches(verify_join, batch_format="pyarrow")

@@ -25,10 +25,7 @@ from ..functions.arrowio import from_pandas_clean
 import pyarrow.compute as pc
 import ray
 
-from ..functions.hashing import bucket_ids_for_column, bucket_ids_for_columns
 from .exchange import keyed_exchange
-
-_BUCKET = "__bucket"
 
 # partial-fn, final-fn (applied to partial outputs) per public agg name
 _REAGG = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
@@ -84,11 +81,6 @@ def grouped_agg(
             return scalar_agg(batch, pairs)
         return batch.group_by(keys).aggregate(pairs).rename_columns(keys + names)
 
-    def key_buckets(g: pa.Table, n: int):
-        if len(keys) == 1:
-            return bucket_ids_for_column(g[keys[0]], n)
-        return bucket_ids_for_columns([g[k] for k in keys], n)
-
     def combine(group: pa.Table) -> pa.Table:
         if not keys:
             return scalar_agg(group, [(n, f) for n, f in final_pairs])
@@ -97,7 +89,7 @@ def grouped_agg(
 
     return keyed_exchange(
         ds.map_batches(local, batch_format="pyarrow"),
-        key_buckets,
+        keys,
         combine,
         n_buckets if keys else 1,
     )
@@ -211,15 +203,9 @@ def pivot_counts(
         )
         g = g.rename_columns([key_col, pivot_col, "__n"])
         # drop pivot values outside the declared domain
-        g = g.filter(pc.is_in(g[pivot_col], value_set=pa.array(values)))
-        return g.append_column(
-            _BUCKET, pa.array(bucket_ids_for_column(g[key_col], n_buckets))
-        )
+        return g.filter(pc.is_in(g[pivot_col], value_set=pa.array(values)))
 
-    def widen(group) -> "pa.Table":
-        import pandas as pd
-
-        df = group if hasattr(group, "pivot_table") else group.to_pandas()
+    def widen(df) -> "pa.Table":
         wide = df.pivot_table(
             index=key_col,
             columns=pivot_col,
@@ -231,10 +217,12 @@ def pivot_counts(
         wide.columns = [prefix + v for v in val_list]
         return from_pandas_clean(wide.reset_index(), preserve_index=False)
 
-    return (
-        ds.map_batches(local, batch_format="pyarrow")
-        .groupby(_BUCKET)
-        .map_groups(widen, batch_format="pandas")
+    return keyed_exchange(
+        ds.map_batches(local, batch_format="pyarrow"),
+        [key_col],
+        widen,
+        n_buckets,
+        batch_format="pandas",
     )
 
 

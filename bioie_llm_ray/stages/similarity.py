@@ -17,6 +17,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from .exchange import keyed_exchange
+
 
 def _normalize(m: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(m, axis=1, keepdims=True)
@@ -318,14 +320,6 @@ def knn_join(
         cell_topk, batch_format="pyarrow"
     )
 
-    from ..functions.hashing import hash_bucket
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        keys = [str(q) for q in batch["qid"].to_pylist()]
-        return batch.append_column(
-            "__bucket", pa.array(hash_bucket(keys, n_merge_buckets))
-        )
-
     def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # same pair may arrive from several probed cells — dedup, then the
         # global tie-broken top-k per query, all in one vectorized pass
@@ -343,10 +337,8 @@ def knn_join(
             columns={"qid": "query_id"}
         )
 
-    return (
-        partials.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(merge_bucket, batch_format="pandas")
+    return keyed_exchange(
+        partials, ["qid"], merge_bucket, n_merge_buckets, batch_format="pandas"
     )
 
 

@@ -23,6 +23,7 @@ import pyarrow as pa
 import ray
 
 from ..functions.hashing import stable_hash_u64
+from .exchange import keyed_exchange
 
 
 def _hll_partial(values, p: int) -> np.ndarray:
@@ -461,6 +462,30 @@ def heavy_hitters(
     return out
 
 
+def _grouped_read_off(
+    ds: "ray.data.Dataset", group_col: str, col: str, read_off, n_buckets: int
+) -> "pd.DataFrame":
+    """``read_off`` over (group, value, ``__n``) count partials, one keyed
+    exchange by group; its rows sorted by group."""
+
+    def local(batch: pa.Table) -> pa.Table:
+        g = (
+            batch.select([group_col, col])
+            .group_by([group_col, col])
+            .aggregate([([], "count_all")])
+        )
+        return g.rename_columns([group_col, col, "__n"])
+
+    parts = keyed_exchange(
+        ds.map_batches(local, batch_format="pyarrow"),
+        [group_col],
+        read_off,
+        n_buckets,
+        batch_format="pandas",
+    ).to_pandas()
+    return parts.sort_values(group_col).reset_index(drop=True)
+
+
 def grouped_quantiles_discrete(
     ds: "ray.data.Dataset",
     group_col: str,
@@ -480,21 +505,6 @@ def grouped_quantiles_discrete(
     group).  Wide output: one ``p{q}`` column per requested quantile.
     """
     import pandas as pd
-    import pyarrow as pa
-
-    from ..functions.hashing import bucket_ids_for_column
-
-    def local(batch: pa.Table) -> pa.Table:
-        g = (
-            batch.select([group_col, col])
-            .group_by([group_col, col])
-            .aggregate([([], "count_all")])
-        )
-        g = g.rename_columns([group_col, col, "__n"])
-        return g.append_column(
-            "__bucket",
-            pa.array(bucket_ids_for_column(g[group_col], n_buckets)),
-        )
 
     qnames = [f"p{int(round(q * 100))}" for q in quantiles]
 
@@ -513,13 +523,7 @@ def grouped_quantiles_discrete(
             out = out.merge(hit.rename(columns={col: name}), on=group_col)
         return out
 
-    parts = (
-        ds.map_batches(local, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(read_off, batch_format="pandas")
-        .to_pandas()
-    )
-    return parts.sort_values(group_col).reset_index(drop=True)
+    return _grouped_read_off(ds, group_col, col, read_off, n_buckets)
 
 
 def grouped_quantiles_cont(
@@ -538,21 +542,6 @@ def grouped_quantiles_cont(
     SQL's ``v_lo + frac·(v_hi − v_lo)`` with per-group ``frac =
     q·(N_g−1) − floor``."""
     import pandas as pd
-    import pyarrow as pa
-
-    from ..functions.hashing import bucket_ids_for_column
-
-    def local(batch: pa.Table) -> pa.Table:
-        g = (
-            batch.select([group_col, col])
-            .group_by([group_col, col])
-            .aggregate([([], "count_all")])
-        )
-        g = g.rename_columns([group_col, col, "__n"])
-        return g.append_column(
-            "__bucket",
-            pa.array(bucket_ids_for_column(g[group_col], n_buckets)),
-        )
 
     qnames = [f"p{int(round(q * 100))}" for q in quantiles]
 
@@ -589,13 +578,7 @@ def grouped_quantiles_cont(
             out[name] = out[group_col].map(res)
         return out
 
-    parts = (
-        ds.map_batches(local, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(read_off, batch_format="pandas")
-        .to_pandas()
-    )
-    return parts.sort_values(group_col).reset_index(drop=True)
+    return _grouped_read_off(ds, group_col, col, read_off, n_buckets)
 
 
 def approx_distinct_grouped(

@@ -1,9 +1,9 @@
 """Windowed / per-group ranking operators (SURVEY §2.10 extensions).
 
-Both operators follow the bucket-group pattern (see ``stages/dedup.py``):
-the shuffle key is ``hash(group_key) % n_buckets`` — bounded reducer count
-at any group cardinality — and each reducer runs ONE vectorized pandas pass
-over its bucket, never one Python call per group.
+Every operator follows the bucket-group pattern (``stages/exchange.py``):
+one ``keyed_exchange`` on the group key — bounded reducer count at any
+group cardinality — and each reducer runs ONE vectorized pass over its
+bucket, never one Python call per group.
 
 - ``grouped_top_k``: top-k rows per group by an order column with a
   deterministic tie-break — the distributed form of
@@ -27,7 +27,7 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
-from ..functions.hashing import bucket_ids_for_column
+from .exchange import keyed_exchange
 
 
 def grouped_top_k(
@@ -49,19 +49,6 @@ def grouped_top_k(
     group_cols = [group_cols] if isinstance(group_cols, str) else list(group_cols)
     tie_cols = tie_cols or []
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        if len(group_cols) == 1:
-            ids = bucket_ids_for_column(batch[group_cols[0]], n_buckets)
-        else:
-            from ..functions.hashing import hash_bucket
-
-            keys = [
-                "\x1f".join(map(str, vals))
-                for vals in zip(*(batch[c].to_pylist() for c in group_cols))
-            ]
-            ids = hash_bucket(keys, n_buckets)
-        return batch.append_column("__bucket", pa.array(ids))
-
     sort_cols = group_cols + [order_col] + tie_cols
     ascending = [True] * len(group_cols) + [not descending] + [True] * len(tie_cols)
 
@@ -69,12 +56,10 @@ def grouped_top_k(
         g = g.sort_values(sort_cols, ascending=ascending, kind="mergesort")
         g = g.groupby(group_cols, sort=False).head(k).copy()
         g[rank_col] = g.groupby(group_cols, sort=False).cumcount() + 1
-        return g.drop(columns=["__bucket"])
+        return g
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(topk_bucket, batch_format="pandas")
+    return keyed_exchange(
+        ds, group_cols, topk_bucket, n_buckets, batch_format="pandas"
     )
 
 
@@ -94,12 +79,6 @@ def sessionize(
     bucket — sort, flag breaks, cumulative session ids, groupby-agg spans.
     """
     gap64 = np.timedelta64(int(gap_minutes * 60_000_000), "us")
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array(bucket_ids_for_column(batch[key_col], n_buckets)),
-        )
 
     def spans(g: pa.Table) -> pa.Table:
         # Arrow/numpy-native per-bucket pass (no pandas round-trip): sort,
@@ -153,11 +132,7 @@ def sessionize(
             }
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(spans, batch_format="pyarrow")
-    )
+    return keyed_exchange(ds, [key_col], spans, n_buckets)
 
 
 def sliding_window_counts(
@@ -190,11 +165,7 @@ def sliding_window_counts(
             }
         )
         g = t.group_by([key_col, "bucket_ts"]).aggregate([([], "count_all")])
-        g = g.rename_columns([key_col, "bucket_ts", "n"])
-        return g.append_column(
-            "__bucket",
-            pa.array(bucket_ids_for_column(g[key_col], n_buckets)),
-        )
+        return g.rename_columns([key_col, "bucket_ts", "n"])
 
     def window_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # merge duplicate partials from different input blocks, then the
@@ -217,10 +188,12 @@ def sliding_window_counts(
         acc[out_col] = acc[out_col].astype("int64")
         return acc[[key_col, "bucket_ts", "n", out_col]]
 
-    return (
-        ds.map_batches(pre_agg, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(window_bucket, batch_format="pandas")
+    return keyed_exchange(
+        ds.map_batches(pre_agg, batch_format="pyarrow"),
+        [key_col],
+        window_bucket,
+        n_buckets,
+        batch_format="pandas",
     )
 
 
@@ -252,11 +225,7 @@ def funnel_counts(
         import pyarrow.compute as pc
 
         keep = pc.is_in(batch[type_col], value_set=pa.array(step_set))
-        batch = batch.filter(keep).select([user_col, ts_col, type_col])
-        return batch.append_column(
-            "__bucket",
-            pa.array(bucket_ids_for_column(batch[user_col], n_buckets)),
-        )
+        return batch.filter(keep).select([user_col, ts_col, type_col])
 
     def funnel_bucket(group: pd.DataFrame) -> pd.DataFrame:
         counts = []
@@ -281,12 +250,13 @@ def funnel_counts(
             }
         )
 
-    partials = (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(funnel_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    partials = keyed_exchange(
+        ds.map_batches(prep, batch_format="pyarrow"),
+        [user_col],
+        funnel_bucket,
+        n_buckets,
+        batch_format="pandas",
+    ).to_pandas()
     out = partials.groupby(["step", "event_type"], as_index=False).agg(
         n_users=("n_users", "sum")
     )
@@ -322,19 +292,13 @@ def grouped_ranks(
         out_prefix + "dense_rank",
     )
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array(bucket_ids_for_column(batch[group_col], n_buckets)),
-        )
-
     def rank_bucket(g: pd.DataFrame) -> pd.DataFrame:
         asc = [True] + [not descending] + [True] * len(tiebreak)
         g = g.sort_values(
             [group_col, order_col] + tiebreak,
             ascending=asc,
             kind="mergesort",
-        ).drop(columns=["__bucket"])
+        )
         grp = g.groupby(group_col, sort=False)
         g[rn] = (grp.cumcount() + 1).astype("int64")
         g[rk] = (
@@ -349,8 +313,6 @@ def grouped_ranks(
         )
         return g
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(rank_bucket, batch_format="pandas")
+    return keyed_exchange(
+        ds, [group_col], rank_bucket, n_buckets, batch_format="pandas"
     )

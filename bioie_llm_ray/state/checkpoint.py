@@ -278,11 +278,3 @@ def compact_partition(
     os.rename(tmp, final)
     shutil.rmtree(old)
     return manifest
-
-
-def compact_all(root: str, target_bytes_per_file: int = 128 * 1024 * 1024) -> dict:
-    """Compact every completed partition; returns {part_id: manifest}."""
-    return {
-        p: compact_partition(root, p, target_bytes_per_file)
-        for p in completed_partitions(root)
-    }

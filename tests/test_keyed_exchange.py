@@ -2,7 +2,7 @@
 family built on it.
 
 - The one-bucket path (no exchange) gives the same rows as the bucketed
-  groupby for every stage that uses it.
+  groupby for every stage that takes a bucket count, in both batch formats.
 - At testdata scale the dedup queries run with no exchange and no actor
   pool, each near-dup pair query is one plan with one task after the
   read, and ``dedup_simhash`` finishes on a 1- and a 2-CPU session.
@@ -34,7 +34,6 @@ import pytest
 import ray
 
 import __ray_entry__
-from bioie_llm_ray.functions.hashing import hash_bucket_ints
 from bioie_llm_ray.pipelines import analytics
 from bioie_llm_ray.pipelines.kg import dedup_buckets, run_flagship_resumable
 from bioie_llm_ray.stages.dedup import _add_key_column, exact_dedup, salted_dedup
@@ -44,6 +43,8 @@ from bioie_llm_ray.stages.exchange import (
     keyed_exchange,
     n_buckets_for_bytes,
 )
+from bioie_llm_ray.stages.blocking import token_blocking_pairs
+from bioie_llm_ray.stages.editdist import edit_distance_pairs
 from bioie_llm_ray.stages.neardup import (
     _EMPTY_HASH,
     _SIG_CHUNK,
@@ -51,29 +52,65 @@ from bioie_llm_ray.stages.neardup import (
     _prefix_pairs,
     _prefix_rows,
     _token_hashes,
+    embedding_neardup_pairs,
     minhash_lsh_candidates,
     minhash_neardup_pairs,
+    ngram_containment_pairs,
     ngram_jaccard_pairs,
     simhash_dedup,
     simhash_fingerprints,
+    simhash_neardup_pairs,
     verify_jaccard_pairs_join,
 )
-from bioie_llm_ray.stages.rollup import grouped_agg
+from bioie_llm_ray.stages.rollup import grouped_agg, pivot_counts
+from bioie_llm_ray.stages.sketch import (
+    grouped_quantiles_cont,
+    grouped_quantiles_discrete,
+)
+from bioie_llm_ray.stages.window import (
+    funnel_counts,
+    grouped_ranks,
+    grouped_top_k,
+    sessionize,
+    sliding_window_counts,
+)
 
 DEDUP_QUERIES = ["doc_dedup_exact", "dedup_minhash", "dedup_simhash", "dedup_jaccard"]
 
 
-def _docs(sf: str) -> ray.data.Dataset:
+def _table(sf: str, table: str, columns: list[str]) -> ray.data.Dataset:
     return ray.data.read_parquet(
-        os.path.join(sf, "documents.parquet"),
-        columns=["doc_id", "text"],
+        os.path.join(sf, f"{table}.parquet"),
+        columns=columns,
         override_num_blocks=4,
     )
 
 
-def _rows(ds: ray.data.Dataset) -> pd.DataFrame:
-    df = ds.to_pandas()
+def _docs(sf: str) -> ray.data.Dataset:
+    return _table(sf, "documents", ["doc_id", "text"])
+
+
+def _events(sf: str, columns: list[str]) -> ray.data.Dataset:
+    return _table(sf, "events", columns)
+
+
+def _rows(out) -> pd.DataFrame:
+    """A stage's rows in a canonical order.  Floats are rounded to 9
+    places: a pair's cosine is a BLAS dot product whose last bit may
+    depend on the shape of the block it was computed in."""
+    df = out if isinstance(out, pd.DataFrame) else out.to_pandas()
+    df = df.round(9)
     return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+def _embedding_pairs(sf: str, b: int) -> ray.data.Dataset:
+    ds = _table(sf, "embeddings", ["vec_id", "embedding"])
+    dim = len(ds.take(1)[0]["embedding"])
+    # the test corpus's closest pair has cosine 0.51: wide LSH buckets and
+    # a low threshold so that the stage finds pairs at all
+    return embedding_neardup_pairs(
+        ds, dim=dim, threshold=0.4, n_planes=4, n_hash_buckets=b
+    )
 
 
 def _len_keyed(sf: str) -> ray.data.Dataset:
@@ -125,6 +162,62 @@ STAGES = {
         n_buckets=b,
         max_broadcast_ids=0,
     ),
+    "simhash_neardup_pairs": lambda sf, b: simhash_neardup_pairs(
+        _docs(sf), n_hash_buckets=b
+    ),
+    "embedding_neardup_pairs": _embedding_pairs,
+    "ngram_containment_pairs": lambda sf, b: ngram_containment_pairs(
+        _docs(sf), threshold=0.6, n_hash_buckets=b, n_buckets=b
+    ),
+    "ngram_containment_pairs[shuffle_join]": lambda sf, b: ngram_containment_pairs(
+        _docs(sf), threshold=0.6, n_hash_buckets=b, n_buckets=b,
+        max_broadcast_ids=0,
+    ),
+    "token_blocking_pairs": lambda sf, b: token_blocking_pairs(
+        _docs(sf), n_buckets=b
+    ),
+    "edit_distance_pairs[deletion]": lambda sf, b: edit_distance_pairs(
+        _table(sf, "supplier", ["s_suppkey", "s_name"]),
+        "s_name", "s_suppkey", n_buckets=b,
+    ),
+    "edit_distance_pairs[segment]": lambda sf, b: edit_distance_pairs(
+        _table(sf, "supplier", ["s_suppkey", "s_name"]),
+        "s_name", "s_suppkey", n_buckets=b, method="segment",
+    ),
+    "pivot_counts": lambda sf, b: pivot_counts(
+        _events(sf, ["user_id", "event_type"]),
+        "user_id",
+        "event_type",
+        values=["view", "click", "purchase", "signup", "error"],
+        n_buckets=b,
+    ),
+    "grouped_top_k": lambda sf, b: grouped_top_k(
+        _events(sf, ["event_id", "user_id", "value"]),
+        "user_id", "value", 3, tie_cols=["event_id"], n_buckets=b,
+    ),
+    "grouped_ranks": lambda sf, b: grouped_ranks(
+        _events(sf, ["event_id", "user_id", "value"]),
+        "user_id", "value", tiebreak=["event_id"], n_buckets=b,
+    ),
+    "sessionize": lambda sf, b: sessionize(
+        _events(sf, ["user_id", "ts"]), "user_id", "ts", n_buckets=b
+    ),
+    "sliding_window_counts": lambda sf, b: sliding_window_counts(
+        _events(sf, ["user_id", "ts"]), "user_id", "ts", n_buckets=b
+    ),
+    "funnel_counts": lambda sf, b: funnel_counts(
+        _events(sf, ["user_id", "ts", "event_type"]),
+        ["view", "click", "purchase"],
+        n_buckets=b,
+    ),
+    "grouped_quantiles_discrete": lambda sf, b: grouped_quantiles_discrete(
+        _events(sf, ["event_type", "value"]),
+        "event_type", "value", [0.25, 0.5, 0.9], n_buckets=b,
+    ),
+    "grouped_quantiles_cont": lambda sf, b: grouped_quantiles_cont(
+        _events(sf, ["event_type", "value"]),
+        "event_type", "value", [0.25, 0.5, 0.9], n_buckets=b,
+    ),
 }
 
 
@@ -136,26 +229,129 @@ class TestExchangePathParity:
         assert len(one) > 0
         pd.testing.assert_frame_equal(one, sixteen)
 
+    @pytest.mark.parametrize("batch_format", ["pandas", "pyarrow"])
     @pytest.mark.parametrize("n_buckets", [1, 16])
-    def test_empty_input(self, n_buckets):
+    def test_empty_input(self, n_buckets, batch_format):
         ds = ray.data.from_arrow(pa.table({"k": pa.array([], type=pa.int64())}))
         out = keyed_exchange(
-            ds,
-            lambda b, n: hash_bucket_ints(b["k"].to_numpy(), n),
-            lambda t: t,
-            n_buckets,
+            ds, ["k"], lambda t: t, n_buckets, batch_format=batch_format
         )
         assert out.count() == 0
 
-    def test_one_bucket_calls_kernel_once_over_all_rows(self):
+    @pytest.mark.parametrize("batch_format", ["pandas", "pyarrow"])
+    def test_one_bucket_calls_kernel_once_over_all_rows(self, batch_format):
         ds = ray.data.range(100, override_num_blocks=5)
         out = keyed_exchange(
             ds,
-            lambda b, n: hash_bucket_ints(b["id"].to_numpy(), n),
-            lambda t: pa.table({"rows": [t.num_rows]}),
+            ["id"],
+            lambda t: pd.DataFrame({"rows": [len(t)]}),
             1,
+            batch_format=batch_format,
         )
         assert [r["rows"] for r in out.take_all()] == [100]
+
+    @pytest.mark.parametrize("batch_format", ["pandas", "pyarrow"])
+    def test_kernel_sees_every_row_of_a_key_and_no_bucket_id(self, batch_format):
+        """Rows route by the named key columns: each kernel call holds
+        whole keys, for one key column and for two, and never the
+        bucket column."""
+        t = pa.table(
+            {
+                "a": pa.array([i % 7 for i in range(200)], type=pa.int64()),
+                "b": pa.array([f"s{i % 3}" for i in range(200)]),
+            }
+        )
+        ds = ray.data.from_arrow(t).repartition(5)
+
+        def per_key(batch):
+            df = batch if isinstance(batch, pd.DataFrame) else batch.to_pandas()
+            assert list(df.columns) == ["a", "b"]
+            return df.groupby(["a", "b"], as_index=False).size()
+
+        for keys in (["a"], ["a", "b"]):
+            out = keyed_exchange(ds, keys, per_key, 4, batch_format=batch_format)
+            got = out.to_pandas()
+            # a key split across two calls would show as two rows
+            assert not got.duplicated(["a", "b"]).any()
+            assert got["size"].sum() == 200
+
+
+# Functions that still build their own "__bucket" exchange, and why the
+# keyed exchange does not fit them: each groups the union of two or more
+# inputs tagged by the same bucket.
+HAND_ROLLED_EXCHANGES = {
+    "stages/graph.py": {
+        "connected_components": "edge rows unioned with root rows",
+        "_sssp_bucketed": "distances unioned with candidate distances",
+        "_lpa_bucketed": "labels unioned with the round's best votes",
+        "_pagerank_bucketed": "ranks unioned with contributions",
+        "_hits_bucketed": "scores unioned with raw scores",
+        "dag_longest_levels": "levels unioned with candidate levels",
+        "wl_colors": "colors unioned with neighbour colors",
+    },
+    "stages/join.py": {
+        "shuffle_join": "two-input join",
+        "shuffle_join_packed": "two-input join",
+        "shuffle_semi_join": "two-input join",
+        "asof_join": "two-input join",
+        "interval_join": "two-input join",
+    },
+}
+
+
+def _bucket_exchange_functions(path: str) -> set:
+    """Top-level functions of ``path`` that group by, or append, a
+    ``"__bucket"`` column, given as a literal or a module constant."""
+    import ast
+
+    with open(path) as f:
+        tree = ast.parse(f.read())
+    consts = {
+        t.id: n.value.value
+        for n in tree.body
+        if isinstance(n, ast.Assign) and isinstance(n.value, ast.Constant)
+        for t in n.targets
+        if isinstance(t, ast.Name)
+    }
+
+    def is_bucket(node) -> bool:
+        if isinstance(node, ast.Name):
+            return consts.get(node.id) == "__bucket"
+        return isinstance(node, ast.Constant) and node.value == "__bucket"
+
+    found = set()
+    for top in tree.body:
+        for n in ast.walk(top):
+            tags = []
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+                if n.func.attr in ("groupby", "append_column") and n.args:
+                    tags.append(n.args[0])
+            elif isinstance(n, ast.Dict):
+                tags.extend(k for k in n.keys if k is not None)
+            if any(is_bucket(t) for t in tags):
+                found.add(top.name)
+    return found
+
+
+def test_no_hand_rolled_bucket_exchange():
+    """A single-input, hash-keyed regroup goes through ``keyed_exchange``:
+    no module but ``stages/exchange.py`` builds a ``"__bucket"`` exchange
+    of its own, except the multi-input ones listed above."""
+    pkg = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "bioie_llm_ray",
+    )
+    found = {}
+    for root, _, files in os.walk(pkg):
+        for name in files:
+            path = os.path.join(root, name)
+            rel = os.path.relpath(path, pkg).replace(os.sep, "/")
+            if name.endswith(".py") and rel != "stages/exchange.py":
+                fns = _bucket_exchange_functions(path)
+                if fns:
+                    found[rel] = fns
+    allowed = {m: set(fns) for m, fns in HAND_ROLLED_EXCHANGES.items()}
+    assert found == allowed
 
 
 def test_dedup_queries_run_without_exchange_or_actor_pool(executed_plans, sf_dir_mid):
