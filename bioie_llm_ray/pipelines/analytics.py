@@ -2550,8 +2550,6 @@ def distinct_users_hll(sf_dir: str) -> pd.DataFrame:
     Reports the estimate alongside the exact count so the recorded row
     itself evidences the error bound (≈1.04/√2^14 ≈ 0.8% std).
     """
-    from ray.data.aggregate import Count
-
     from ..stages.sketch import approx_distinct
 
     ds = _read(sf_dir, "events", columns=["user_id"])
@@ -3691,8 +3689,6 @@ def doc_bigram_perplexity(
 
     Output: the ``top_n`` most-perplexing documents (rounded bits/bigram
     rank, doc_id tie-break) — the CCNet-style 'weird tail' surfacing."""
-    from ray.data.aggregate import Count, Sum
-
     from ..stages.join import shuffle_join
     from ..stages.rollup import grouped_agg
     from ..stages.sample import distributed_sort_top_k
@@ -3878,8 +3874,6 @@ def _unigram_lm_scores(sf_dir: str, top_v: int = 20) -> "ray.data.Dataset":
                 "n": pc.cast(counts.field("counts"), pa.int64()),
             }
         )
-
-    from ray.data.aggregate import Sum
 
     from ..stages.rollup import grouped_agg
 
@@ -4593,8 +4587,6 @@ def kg_two_hop_paths(sf_dir: str) -> pd.DataFrame:
 
     Output: (src, dst, n_paths) with src < dst, n_paths = distinct middles.
     """
-    from ray.data.aggregate import Count
-
     edges = _cooccur_edge_counts(sf_dir, alias="w")
 
     def bidir(batch: pa.Table) -> pa.Table:
@@ -4659,8 +4651,6 @@ def events_range_pruned(sf_dir: str) -> pd.DataFrame:
     built once per scale under /tmp (the one paid sort); the query itself
     is a pruned read + per-batch partial sum.
     """
-    import ray
-
     from .. import __version__
     from ..state import sorted_store
 
@@ -7442,8 +7432,6 @@ def events_box_pruned(sf_dir: str) -> pd.DataFrame:
     /tmp (the one paid sort); the query is a doubly-pruned read + per-batch
     partial sum.  ``test_zorder_store`` asserts the 2-D layout actually
     out-prunes a 1-D sort on the same box."""
-    import ray
-
     from .. import __version__
     from ..state import zorder_store
 
@@ -7918,8 +7906,6 @@ def word_zipf_fit(sf_dir: str, top_n: int = 100) -> pd.DataFrame:
     it).  Composes the distributed word-count combiner with the
     one-moment-pass regression — driver arithmetic touches top_n scalars.
     The SQL oracle reuses the identical raw-moment expressions."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", columns=["text"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -8124,8 +8110,6 @@ def cheapest_supplier_per_part(sf_dir: str) -> pd.DataFrame:
     supplier key — the aggregate-then-rejoin-on-(group, extremum) topology
     q2's correlated subquery compiles to; (3) supplier names come from a
     broadcast dim probe.  Two fact exchanges total, both keyed on partkey."""
-    from ray.data.aggregate import Min
-
     li = _read(
         sf_dir,
         "lineitem",
@@ -8212,7 +8196,7 @@ def purchase_attribution(sf_dir: str, window_days: int = 7) -> pd.DataFrame:
     their 'direct' bucket is recovered from one stream-total combiner pass
     minus the matched totals — three scalars of driver arithmetic, no
     second join.  Values accumulate as exact int64 cents."""
-    from ray.data.aggregate import Max, Sum
+    from ray.data.aggregate import Sum
 
     from ..stages.join import asof_join
 
@@ -9454,8 +9438,6 @@ def events_max_gap(sf_dir: str) -> pd.DataFrame:
     boundary stitch over the per-bucket (min, max) endpoints — 3 scalars
     per day ever reach the driver.  Ties on gap length break to the
     earliest start."""
-    from ..functions.hashing import hash_bucket_ints  # noqa: F401 (family)
-
     ds = _read(sf_dir, "events", columns=["event_id", "ts"])
 
     def add_day(batch: pa.Table) -> pa.Table:
@@ -9533,8 +9515,6 @@ def brand_supplier_counts(sf_dir: str) -> pd.DataFrame:
     brand lookup, per-batch (brand, supplier) dedup partial (the combiner
     that makes grouped distinct affordable), ONE exchange on the pair,
     per-bucket final dedup, then a tiny per-brand count."""
-    from ray.data.aggregate import Count, Sum
-
     from ..stages.rollup import grouped_agg
 
     part = _read(sf_dir, "part", columns=["p_partkey", "p_brand"]).to_pandas()
@@ -12579,8 +12559,6 @@ def kg_square_count(sf_dir: str) -> pd.DataFrame:
     ``C(w,2)`` partials fold to three driver ints.  Every 4-cycle is
     counted exactly twice (once per diagonal pair), so the halving is
     exact."""
-    from ray.data.aggregate import Count
-
     from ..stages.dedup import exact_dedup
 
     nb = _nb(sf_dir, "lineitem")
@@ -13005,8 +12983,6 @@ def token_vocab(sf_dir: str) -> pd.DataFrame:
     on the NEGATED count (sampled splitters + per-bucket offset fold), so a
     web-corpus vocabulary of billions of distinct tokens never
     single-threads through one reducer or the driver."""
-    from ray.data.aggregate import Sum
-
     from ..stages.scan import global_order_ranks
 
     ds = _read(sf_dir, "documents", columns=["text"])
@@ -13068,8 +13044,6 @@ def word_cooccur_window(
     are sums of 1/d ∈ {1, 0.5} — dyadic rationals, so float addition is
     exact and order-independent (no rounding hazard between Ray's partial
     sums and SQL's aggregate order)."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", columns=["text"])
 
     def pairs(batch: pa.Table) -> pa.Table:
@@ -13430,8 +13404,10 @@ def doc_near_dedup(sf_dir: str, threshold: float = 0.8) -> pd.DataFrame:
     from ..stages.neardup import near_dedup_docs
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    nb = _nb(sf_dir, "documents", floor=1)
     kept = near_dedup_docs(
-        ds, text_col="text", id_col="doc_id", threshold=threshold
+        ds, text_col="text", id_col="doc_id", threshold=threshold,
+        n_hash_buckets=nb, n_buckets=nb,
     )
     out = kept.select_columns(["doc_id"]).to_pandas()
     if not len(out):

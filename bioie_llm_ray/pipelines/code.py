@@ -1005,7 +1005,6 @@ def license_scan(
     count groupby whose keyspace is |repos| × |license ids| — tiny.
     """
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count
 
     snap = latest_snapshot(
         ds.select_columns(["repo", "path", "commit_ts", "content"]),
@@ -1053,8 +1052,6 @@ def call_triples(
     and the final (subj, obj) combine is a pure sum — keyspace
     |repos|², tiny.
     """
-    from ray.data.aggregate import Sum
-
     from ..stages.join import shuffle_join
 
     snap = latest_snapshot(

@@ -11,10 +11,15 @@ Subject/object pairing happens inside the extraction call (one pass per
 document), so no per-document shuffle is needed; the only wide operation is
 the final dedup.  Its bucket count B is sized from the input's bytes
 (``dedup_buckets``).  A shard that fits one bucket (up to 16 MiB of parquet)
-gets B = 1: one first-per-key pass in a single task, with no exchange, so a
-partition runs read → extract + link → one dedup task → write.  Salting on
-the source sha, which defuses hub-entity keys, applies only at B > 1, where
-the dedup is the two-phase salted exchange.
+gets B = 1: one first-per-key pass, with no exchange.  Salting on the
+source sha, which defuses hub-entity keys, applies only at B > 1, where the
+dedup is the two-phase salted exchange.
+
+The checkpointed job (``run_flagship_resumable``) runs each B = 1 shard as
+one plain Ray task, read → extract + link → first-per-key → write, with no
+Dataset, and submits every such shard at once, so the shards run
+concurrently and each partition commits as its task finishes.  A larger
+shard streams through a Dataset, one partition after another.
 
 Extraction runs as stateless tasks, not as an actor pool.  The lexicon
 state (vocabulary and linked-id arrays) is built once per worker process
@@ -29,13 +34,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
+import time
 from collections import OrderedDict
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray
 
+from ..functions.hashing import add_sha256_column
 from ..sources.readers import read_docs
-from ..stages.dedup import batch_local_dedup, salted_dedup
+from ..stages.dedup import batch_local_dedup, first_per_key, salted_dedup
 from ..stages.exchange import n_buckets_for_bytes
 from ..stages.linker import EntityLinker
 from ..stages.mention import (
@@ -182,6 +191,7 @@ def extract_triples(
     batch_size: int = 1024,
     n_salt: int = 16,
     n_buckets: int = 64,
+    text_col: str = "content",
 ) -> ray.data.Dataset:
     """docs (with content_sha256) → canonical (subj, pred, obj, src_sha).
 
@@ -202,7 +212,10 @@ def extract_triples(
     B = 1 the dedup is one first-per-key pass that already sees every
     row, so there is no combiner and no exchange.
     """
-    ctor = {"vocab": vocab, "relation": relation, "alias_index": alias_index}
+    ctor = {
+        "vocab": vocab, "relation": relation, "alias_index": alias_index,
+        "text_col": text_col,
+    }
     triples = docs.map_batches(
         _extract_batch,
         fn_kwargs={"key": _state_digest(**ctor), **ctor},
@@ -248,32 +261,63 @@ def run_flagship(
     return triples
 
 
+@ray.remote
+def _build_partition(path: str, tmp: str, *, dedup: bool, key: str, **ctor) -> float:
+    """One shard that fits one bucket, in one task: read, sha256, extract +
+    link, first-per-key dedup on (subj, pred, obj) in file order, and write
+    into ``tmp``, cleared first so a retried task starts over.  A shard
+    with no triples writes no file.  Returns the task's wall seconds."""
+    t0 = time.perf_counter()
+    shutil.rmtree(tmp, ignore_errors=True)
+    os.makedirs(tmp)
+    docs = add_sha256_column(pq.read_table(path), column=ctor["text_col"])
+    triples = _extract_batch(docs, key=key, **ctor)
+    triples = triples.rename_columns(
+        ["src_sha" if c == "content_sha256" else c for c in triples.column_names]
+    )
+    if dedup:
+        triples = first_per_key(triples, ["subj", "pred", "obj"])
+    if triples.num_rows:
+        pq.write_table(triples, os.path.join(tmp, "part-0.parquet"))
+    return time.perf_counter() - t0
+
+
 def run_flagship_resumable(
     docs_paths: list[str],
     vocab: list[str],
     out_root: str,
     alias_index: dict[str, str] | None = None,
     model_id: str = "mock-vocab-scorer",
+    text_col: str = "content",
     **kwargs,
 ) -> dict:
     """Checkpointed flagship: one partition per input file, resume-safe.
 
     Each partition's manifest records the north-rule lineage fields: source
     path, vocabulary hash, model id, and per-partition metrics.  Rerunning
-    after a crash skips partitions whose MANIFEST.json exists.  Each
-    shard's dedup is sized from that shard's bytes (``dedup_buckets``).
+    after a crash skips partitions whose MANIFEST.json exists with the same
+    lineage.  ``text_col`` names the docs' text column.
+
+    Each shard's dedup is sized from that shard's bytes (``dedup_buckets``).
+    A shard that fits one bucket is one ``_build_partition`` task; all such
+    tasks are submitted at once and each partition is committed as its
+    task finishes.  Larger shards, and every shard when the caller passes
+    ``n_buckets``, run the streaming Dataset path, one after another.
     """
     from ..state import checkpoint
 
     vocab_hash = hashlib.sha256(
         "\x1f".join(sorted(vocab)).encode()
     ).hexdigest()[:16]
+    relation = kwargs.get("relation", "interacts_with")
 
     def make(path: str):
         def build() -> ray.data.Dataset:
-            docs = read_docs(path)
+            docs = read_docs(path, text_col=text_col)
             kw = {"n_buckets": dedup_buckets(path), **kwargs}
-            return extract_triples(docs, vocab, alias_index=alias_index, **kw)
+            return extract_triples(
+                docs, vocab, alias_index=alias_index, text_col=text_col, **kw
+            )
 
         return build
 
@@ -282,14 +326,46 @@ def run_flagship_resumable(
             "source_path": part_map[part_id],
             "vocab_sha256": vocab_hash,
             "model_id": model_id,
-            "relation": kwargs.get("relation", "interacts_with"),
+            "relation": relation,
         }
 
     part_map = {
         hashlib.md5(p.encode()).hexdigest()[:12]: p for p in docs_paths
     }
-    parts = [(pid, make(path)) for pid, path in sorted(part_map.items())]
-    return checkpoint.run_resumable(out_root, parts, lineage_fn=lineage)
+    one_task = {
+        pid: path
+        for pid, path in sorted(part_map.items())
+        if "n_buckets" not in kwargs and dedup_buckets(path) == 1
+    }
+    skipped = [
+        pid for pid in one_task if checkpoint.can_skip(out_root, pid, lineage(pid))
+    ]
+    ctor = {
+        "vocab": vocab, "relation": relation, "alias_index": alias_index,
+        "text_col": text_col,
+    }
+    key = _state_digest(**ctor)
+    refs = {
+        _build_partition.remote(
+            path, checkpoint.tmp_dir(out_root, pid),
+            dedup=kwargs.get("dedup", True), key=key, **ctor,
+        ): pid
+        for pid, path in one_task.items()
+        if pid not in skipped
+    }
+    try:
+        streamed = checkpoint.run_resumable(
+            out_root,
+            [(pid, make(p)) for pid, p in sorted(part_map.items()) if pid not in one_task],
+            lineage_fn=lineage,
+        )
+    finally:
+        tasks = checkpoint.commit_as_finished(out_root, refs, lineage)
+    return {
+        "completed": tasks["completed"] + streamed["completed"],
+        "skipped": skipped + streamed["skipped"],
+        "manifests": {**tasks["manifests"], **streamed["manifests"]},
+    }
 
 
 def predicate_profile(triples: "ray.data.Dataset") -> "pd.DataFrame":

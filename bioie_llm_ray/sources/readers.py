@@ -16,10 +16,13 @@ from pyarrow import csv as pacsv
 from ..functions.hashing import add_sha256_column
 
 
-def read_docs(path, columns=None) -> ray.data.Dataset:
-    """Primary input table; appends the sha256(content) invariant column."""
+def read_docs(path, columns=None, text_col: str = "content") -> ray.data.Dataset:
+    """Primary input table; appends the sha256(``text_col``) invariant
+    column ``content_sha256``."""
     ds = ray.data.read_parquet(path, columns=columns)
-    return ds.map_batches(add_sha256_column, batch_format="pyarrow")
+    return ds.map_batches(
+        add_sha256_column, fn_kwargs={"column": text_col}, batch_format="pyarrow"
+    )
 
 
 def read_protein_info(path: str) -> ray.data.Dataset:

@@ -99,6 +99,13 @@ def _first_per_key_in_bucket(group: pa.Table) -> pa.Table:
     return group.take(pa.array(np.sort(first_idx)))
 
 
+def first_per_key(table: pa.Table, key_cols: list[str]) -> pa.Table:
+    """The first row of each distinct ``key_cols`` tuple of one in-memory
+    table, in input order."""
+    keyed = _add_key_column(table, key_cols, _KEY_COL)
+    return _first_per_key_in_bucket(keyed).drop_columns([_KEY_COL])
+
+
 def exact_dedup(ds, key_cols: list[str], n_buckets: int = 64):
     """Keep one row per distinct key tuple.
 
@@ -143,13 +150,9 @@ def batch_local_dedup(ds, key_cols: list[str]):
     in a batch collapse early — the same partial-aggregation idea as
     pre-summing before a groupby.
     """
-
-    def local(batch: pa.Table) -> pa.Table:
-        batch = _add_key_column(batch, key_cols, _KEY_COL)
-        out = _first_per_key_in_bucket(batch)
-        return out.drop_columns([_KEY_COL])
-
-    return ds.map_batches(local, batch_format="pyarrow")
+    return ds.map_batches(
+        first_per_key, fn_kwargs={"key_cols": key_cols}, batch_format="pyarrow"
+    )
 
 
 def argmax_dedup(

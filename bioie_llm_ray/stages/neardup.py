@@ -750,6 +750,8 @@ def near_dedup_docs(
     n_bands: int = 16,
     n_shingle: int = 3,
     max_broadcast_ids: int = 2_000_000,
+    n_hash_buckets: int = 64,
+    n_buckets: int = 32,
 ) -> ray.data.Dataset:
     """Corpus minus near-duplicates: keep one representative per cluster.
 
@@ -758,7 +760,8 @@ def near_dedup_docs(
     pair graph (``stages/graph.py``, large-star/small-star) → keep each
     component's minimum id.  Cluster membership is transitive-exact over
     the verified edges; recall is bounded by LSH candidate generation as
-    usual.
+    usual.  ``n_hash_buckets`` and ``n_buckets`` size the pair stage as
+    in ``minhash_neardup_pairs``; both at 1 make it one task.
 
     The drop set is ≤ the number of near-duplicate documents; below
     ``max_broadcast_ids`` it broadcasts as an id set (``anti_semi_filter``),
@@ -774,6 +777,8 @@ def near_dedup_docs(
         n_perm=n_perm,
         n_bands=n_bands,
         n_shingle=n_shingle,
+        n_hash_buckets=n_hash_buckets,
+        n_buckets=n_buckets,
         max_broadcast_ids=max_broadcast_ids,
     )
     from .graph import cluster_dedup

@@ -15,7 +15,11 @@ Layout:
 
 A partition is the unit of resume — one input shard / file / key range.  The
 write is atomic on POSIX: data + manifest land in a temp dir which is renamed
-into place, so a crash mid-write leaves no half-complete partition.
+into place, so a crash mid-write leaves no half-complete partition.  The
+data comes from a Dataset (``write_partition``) or from a Ray task that
+writes into ``tmp_dir`` (``commit_as_finished``); either way
+``commit_partition`` writes the manifest and renames, and ``can_skip``
+decides on rerun whether a completed partition is kept.
 
 The reference's input-side convert-and-cache (string_reader.py:69-75) and
 pickled test-set cache (string_processor.py:236-243) are the ad-hoc versions
@@ -57,6 +61,11 @@ def completed_partitions(root: str) -> list[str]:
     return out
 
 
+def tmp_dir(root: str, part_id: str) -> str:
+    """Where partition ``part_id`` is written before ``commit_partition``."""
+    return os.path.join(root, f"_tmp_{part_id}")
+
+
 def write_partition(
     root: str,
     part_id: str,
@@ -69,39 +78,44 @@ def write_partition(
     model id, prompt-template hash, …); row count and wall time are measured
     here.
     """
-    os.makedirs(root, exist_ok=True)
-    tmp = os.path.join(root, f"_tmp_{part_id}")
-    if os.path.exists(tmp):
-        shutil.rmtree(tmp)
-    final = _part_dir(root, part_id)
-    if os.path.exists(final):
-        shutil.rmtree(final)
-
+    tmp = tmp_dir(root, part_id)
+    shutil.rmtree(tmp, ignore_errors=True)
     t0 = time.perf_counter()
     ds.write_parquet(tmp)
-    wall = time.perf_counter() - t0
-    # a zero-row Dataset writes no directory; the partition is still done
+    return commit_partition(root, part_id, time.perf_counter() - t0, lineage)
+
+
+def commit_partition(
+    root: str, part_id: str, wall: float, lineage: dict | None = None
+) -> dict:
+    """Seal the Parquet files in ``tmp_dir(root, part_id)`` as a completed
+    partition; returns its manifest dict.
+
+    Counts the rows and bytes, writes MANIFEST.json next to the data, then
+    renames the directory into place over any stale partition.  ``wall`` is
+    the seconds it took to produce and write the data.  Every partition's
+    manifest is written here.
+    """
+    tmp = tmp_dir(root, part_id)
+    # a zero-row write leaves no directory; the partition is still done
     os.makedirs(tmp, exist_ok=True)
-    n_rows = sum(
-        _count_parquet_rows(os.path.join(tmp, f))
-        for f in os.listdir(tmp)
-        if f.endswith(".parquet")
-    )
-    n_bytes = sum(
-        os.path.getsize(os.path.join(tmp, f))
-        for f in os.listdir(tmp)
-        if f.endswith(".parquet")
-    )
+    files = [
+        os.path.join(tmp, f) for f in os.listdir(tmp) if f.endswith(".parquet")
+    ]
+    n_rows = sum(_count_parquet_rows(f) for f in files)
     manifest = {
         "part_id": part_id,
         "n_rows": n_rows,
-        "n_bytes": n_bytes,
+        "n_bytes": sum(os.path.getsize(f) for f in files),
         "write_wall_sec": round(wall, 3),
         "rows_per_sec": round(n_rows / wall, 1) if wall > 0 else None,
         "lineage": lineage or {},
     }
     with open(os.path.join(tmp, "MANIFEST.json"), "w") as f:
         json.dump(manifest, f, indent=2)
+    final = _part_dir(root, part_id)
+    if os.path.exists(final):
+        shutil.rmtree(final)
     os.rename(tmp, final)
     return manifest
 
@@ -164,6 +178,30 @@ class LineageMismatch(RuntimeError):
     """A completed partition's stored lineage differs from the current run's."""
 
 
+def can_skip(
+    root: str, part_id: str, lineage: dict, on_lineage_mismatch: str = "error"
+) -> bool:
+    """Whether ``part_id`` is already complete with this run's ``lineage``.
+
+    A completed partition whose stored lineage differs raises
+    ``LineageMismatch`` (``on_lineage_mismatch="error"``), or is reported
+    as not skippable so it is recomputed (``"recompute"``).
+    """
+    if not is_complete(root, part_id):
+        return False
+    stored = read_manifest(root, part_id).get("lineage", {})
+    if stored == lineage:
+        return True
+    if on_lineage_mismatch == "error":
+        raise LineageMismatch(
+            f"partition {part_id!r} in {root} was written with lineage "
+            f"{stored!r} but this run declares {lineage!r}; pass "
+            "on_lineage_mismatch='recompute' to overwrite, or use a "
+            "fresh output dir"
+        )
+    return False
+
+
 def run_resumable(
     root: str,
     partitions: Iterable[tuple[str, Callable[[], "ray.data.Dataset"]]],
@@ -177,32 +215,55 @@ def run_resumable(
     loses only that partition's temp dir.
 
     A partition is only skipped when its stored lineage equals the current
-    run's ``lineage_fn(part_id)`` — rerunning against the same output dir
-    with a different vocab / model / relation must not silently mix
-    configurations.  ``on_lineage_mismatch``: ``"error"`` raises
-    ``LineageMismatch``; ``"recompute"`` overwrites the stale partition.
+    run's ``lineage_fn(part_id)`` (``can_skip``) — rerunning against the
+    same output dir with a different vocab / model / relation must not
+    silently mix configurations.  ``on_lineage_mismatch``: ``"error"``
+    raises ``LineageMismatch``; ``"recompute"`` overwrites the stale
+    partition.
     """
     if on_lineage_mismatch not in ("error", "recompute"):
         raise ValueError(f"on_lineage_mismatch: {on_lineage_mismatch!r}")
     done, skipped, manifests = [], [], {}
     for part_id, make_ds in partitions:
         lineage = lineage_fn(part_id) if lineage_fn else {}
-        if is_complete(root, part_id):
-            stored = read_manifest(root, part_id).get("lineage", {})
-            if stored == lineage:
-                skipped.append(part_id)
-                continue
-            if on_lineage_mismatch == "error":
-                raise LineageMismatch(
-                    f"partition {part_id!r} in {root} was written with lineage "
-                    f"{stored!r} but this run declares {lineage!r}; pass "
-                    "on_lineage_mismatch='recompute' to overwrite, or use a "
-                    "fresh output dir"
-                )
-            # fall through: recompute the stale partition
+        if can_skip(root, part_id, lineage, on_lineage_mismatch):
+            skipped.append(part_id)
+            continue
         manifests[part_id] = write_partition(root, part_id, make_ds(), lineage)
         done.append(part_id)
     return {"completed": done, "skipped": skipped, "manifests": manifests}
+
+
+def commit_as_finished(
+    root: str, refs: dict, lineage_fn: Callable[[str], dict]
+) -> dict:
+    """Commit each partition as the task that wrote it finishes.
+
+    ``refs`` maps a task's ObjectRef to its part id.  The task writes its
+    Parquet files into ``tmp_dir(root, part_id)`` and returns the seconds
+    it took.  Every task that succeeds is committed, in completion order,
+    whatever the others do; the first task error is raised after the
+    rest are committed, and the failed partition leaves no ``part=``
+    directory.  Returns {"completed": [...], "manifests": {...}}.
+    """
+    refs = dict(refs)
+    done, manifests, errors = [], {}, []
+    while refs:
+        [ref], _ = ray.wait(list(refs))
+        part_id = refs.pop(ref)
+        try:
+            wall = ray.get(ref)
+        except ray.exceptions.RayError as e:  # the others still commit
+            shutil.rmtree(tmp_dir(root, part_id), ignore_errors=True)
+            errors.append(e)
+            continue
+        manifests[part_id] = commit_partition(
+            root, part_id, wall, lineage_fn(part_id)
+        )
+        done.append(part_id)
+    if errors:
+        raise errors[0]
+    return {"completed": done, "manifests": manifests}
 
 
 def compact_partition(
@@ -225,7 +286,6 @@ def compact_partition(
     and it refuses to swap.
     """
     import numpy as np
-    import pyarrow.parquet as pq
 
     import ray.data
 

@@ -69,46 +69,18 @@ def main(argv=None) -> int:
 
         shutil.rmtree(args.out, ignore_errors=True)
 
-    # docs tables with a non-'content' text column get it renamed at read
     from bioie_llm_ray.pipelines.kg import run_flagship_resumable
 
-    if args.text_col != "content":
-        # wrap: read, rename, re-extract — simplest is a per-partition builder
-        import ray.data
-
-        from bioie_llm_ray.functions.hashing import add_sha256_column
-        from bioie_llm_ray.pipelines.kg import dedup_buckets, extract_triples
-        from bioie_llm_ray.state import checkpoint
-        import hashlib
-
-        vocab_hash = hashlib.sha256("\x1f".join(sorted(vocab)).encode()).hexdigest()[:16]
-
-        def make(path):
-            def build():
-                ds = ray.data.read_parquet(path)
-                ds = ds.rename_columns({args.text_col: "content"})
-                ds = ds.map_batches(add_sha256_column, batch_format="pyarrow")
-                return extract_triples(
-                    ds, vocab, relation=args.relation, n_buckets=dedup_buckets(path)
-                )
-
-            return build
-
-        part_map = {hashlib.md5(p.encode()).hexdigest()[:12]: p for p in paths}
-        res = checkpoint.run_resumable(
-            args.out,
-            [(pid, make(p)) for pid, p in sorted(part_map.items())],
-            lineage_fn=lambda pid: {
-                "source_path": part_map[pid],
-                "vocab_sha256": vocab_hash,
-                "model_id": "mention-automaton",
-                "relation": args.relation,
-            },
-        )
-    else:
-        res = run_flagship_resumable(
-            paths, vocab=vocab, out_root=args.out, relation=args.relation
-        )
+    res = run_flagship_resumable(
+        paths,
+        vocab=vocab,
+        out_root=args.out,
+        relation=args.relation,
+        text_col=args.text_col,
+        # the model ids earlier runs of this job recorded, so their
+        # output directories still resume
+        model_id="mock-vocab-scorer" if args.text_col == "content" else "mention-automaton",
+    )
     print(json.dumps({"completed": res["completed"], "skipped": res["skipped"]}))
     ray.shutdown()
     return 0

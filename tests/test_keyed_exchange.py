@@ -14,7 +14,7 @@ family built on it.
   ``simhash_dedup`` drops docs without a word token as its oracle does.
 - The flagship dedup: ``salted_dedup`` at B = 1 equals B = 64, the
   vectorized dedup key equals the per-row join, and a checkpointed
-  flagship partition that fits one bucket runs with no exchange.
+  flagship partition that fits one bucket runs with no Dataset at all.
 """
 
 from __future__ import annotations
@@ -695,7 +695,11 @@ class TestFlagshipDedup:
                 [docs], ["TP53", "MDM2", "BRCA1"], out
             )
         assert res["manifests"][res["completed"][0]]["n_rows"] == 3
+        # the shard is one plain task: no Dataset executes at all
+        assert plans == []
+        # a caller's bucket count takes the Dataset path, whose plan is seen
+        with executed_plans() as plans:
+            run_flagship_resumable(
+                [docs], ["TP53", "MDM2", "BRCA1"], str(tmp_path / "ds"), n_buckets=1
+            )
         assert any("Write" in p for p in plans), plans
-        for p in plans:
-            for op in ("Aggregate", "Shuffle", "Sort"):
-                assert op not in p, p
