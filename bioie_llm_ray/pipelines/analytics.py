@@ -33,6 +33,7 @@ from ..functions.hashing import sha256_hex
 from ..stages.exchange import (  # noqa: F401  (re-exported)
     _BYTES_PER_BUCKET,
     _PARQUET_EXPANSION,
+    cogroup,
     keyed_exchange,
     n_buckets_for_bytes,
 )
@@ -11136,7 +11137,7 @@ def kg_bowtie_regions(sf_dir: str) -> pd.DataFrame:
     node, so the in/out tests are single-node probes of the transitive
     closure — no set semi-joins.  The closure (path doubling) is computed
     once and shared with the SCC labeling; region assignment is one
-    node-keyed bucket merge of three tagged streams.  The SCC-size table
+    node-keyed ``cogroup`` of three streams.  The SCC-size table
     folded on the driver is |SCC|-rows, bounded by the modulus here (at
     open-vocabulary scale, swap the argmax for a packed-int64
     ``argmax_dedup``)."""
@@ -11168,73 +11169,46 @@ def kg_bowtie_regions(sf_dir: str) -> pd.DataFrame:
     sizes = sizes.sort_values(["c", "scc"], ascending=[False, True])
     core_rep = int(sizes.iloc[0]["scc"])
 
-    def tag_lab(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node": b["node"],
-                "scc": pc.cast(b["scc"], pa.int64()),
-                "flag": pa.array(["lab"] * len(b), type=pa.string()),
-            }
-        )
+    def core_in(b: pa.Table) -> pa.Table:
+        return pa.table({"node": b.filter(pc.equal(b["dst"], core_rep))["src"]})
 
-    def tag_in(b: pa.Table) -> pa.Table:
-        t = b.filter(pc.equal(b["dst"], core_rep))
-        return pa.table(
-            {
-                "node": t["src"],
-                "scc": pa.nulls(len(t), pa.int64()),
-                "flag": pa.array(["in"] * len(t), type=pa.string()),
-            }
-        )
+    def core_out(b: pa.Table) -> pa.Table:
+        return pa.table({"node": b.filter(pc.equal(b["src"], core_rep))["dst"]})
 
-    def tag_out(b: pa.Table) -> pa.Table:
-        t = b.filter(pc.equal(b["src"], core_rep))
-        return pa.table(
-            {
-                "node": t["dst"],
-                "scc": pa.nulls(len(t), pa.int64()),
-                "flag": pa.array(["out"] * len(t), type=pa.string()),
-            }
-        )
-
-    tagged = (
-        lab.map_batches(tag_lab, batch_format="pyarrow")
-        .union(reach.map_batches(tag_in, batch_format="pyarrow"))
-        .union(reach.map_batches(tag_out, batch_format="pyarrow"))
-    )
-
-    from ..functions.hashing import hash_bucket_ints
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        ids = hash_bucket_ints(
-            b["node"].to_numpy(zero_copy_only=False).astype(np.int64), nb
-        )
-        return b.append_column("__b", pa.array(ids))
-
-    def assign(group: pd.DataFrame, _core=core_rep) -> pd.DataFrame:
-        lab_rows = group[group["flag"] == "lab"].set_index("node")["scc"]
-        has_in = set(group.loc[group["flag"] == "in", "node"].tolist())
-        has_out = set(group.loc[group["flag"] == "out", "node"].tolist())
-        nodes = lab_rows.index.to_numpy()
-        scc = lab_rows.to_numpy()
+    def assign(sides: list, _core=core_rep) -> pd.DataFrame:
+        labels, ins, outs = sides
+        nodes = labels["node"].to_numpy()
+        scc = labels["scc"].to_numpy()
         nodes_s = pd.Series(nodes)
         region = np.where(
             scc == _core,
             "core",
             np.where(
-                nodes_s.isin(has_in).to_numpy(),
+                nodes_s.isin(ins["node"]).to_numpy(),
                 "in",
-                np.where(nodes_s.isin(has_out).to_numpy(), "out", "other"),
+                np.where(nodes_s.isin(outs["node"]).to_numpy(), "out", "other"),
             ),
         )
         return pd.DataFrame({"node": nodes, "region": region})
 
-    out = (
-        tagged.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(assign, batch_format="pandas")
-        .to_pandas()
-    )
+    ls = lab.schema()
+    node_t = ls.types[ls.names.index("node")]
+    out = cogroup(
+        [
+            lab,
+            reach.map_batches(core_in, batch_format="pyarrow"),
+            reach.map_batches(core_out, batch_format="pyarrow"),
+        ],
+        ["node"],
+        assign,
+        nb,
+        batch_format="pandas",
+        schemas=[
+            {"node": node_t, "scc": pa.int64()},
+            {"node": node_t},
+            {"node": node_t},
+        ],
+    ).to_pandas()
     out["node"] = out["node"].astype("int64")
     return out.sort_values("node").reset_index(drop=True)
 

@@ -34,24 +34,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from ..functions.hashing import (
-    _splitmix64,
-    hash_bucket,
-    hash_bucket_ints,
-    stable_hash_u64,
-)
-from .exchange import keyed_exchange
-
-_B = "__bucket"
-
-
-def _bucket_ids(arr: np.ndarray, n_buckets: int) -> np.ndarray:
-    """Stable bucket ids for an id array — vectorized for integer dtypes,
-    md5-based otherwise (string doc ids are first-class, per the public
-    ``id_col`` API)."""
-    if np.issubdtype(arr.dtype, np.integer):
-        return hash_bucket_ints(arr, n_buckets)
-    return hash_bucket([str(x) for x in arr], n_buckets)
+from ..functions.hashing import _splitmix64, stable_hash_u64
+from .exchange import cogroup, keyed_exchange
 
 
 def _orient(batch: pa.Table, src: str, dst: str) -> pa.Table:
@@ -196,33 +180,27 @@ def connected_components(
         )
 
     # converged star edges: (node, root).  Roots only ever appear as v —
-    # add their self-labels from the distinct v set per bucket.
+    # add a self-label row per edge's v; the bucket pass drops repeats.
     def labels(group: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame(
             {"node": group["u"].to_numpy(), "component": group["v"].to_numpy()}
         )
         return out.drop_duplicates("node")
 
-    def root_bucket(batch: pa.Table) -> pa.Table:
-        v = batch["v"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "u": batch["v"],
-                "v": batch["v"],
-                _B: pa.array(_bucket_ids(v, n_buckets)),
-            }
+    def with_roots(b: pa.Table) -> pa.Table:
+        # one map, not a union: the edges are pandas blocks, and one task
+        # over a union of pandas and Arrow blocks fails to concatenate them
+        return pa.concat_tables(
+            [b.select(["u", "v"]), pa.table({"u": b["v"], "v": b["v"]})]
         )
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        ids = _bucket_ids(
-            batch["u"].to_numpy(zero_copy_only=False), n_buckets
-        )
-        return batch.append_column(_B, pa.array(ids))
-
-    tagged = edges.map_batches(add_bucket, batch_format="pyarrow").union(
-        edges.map_batches(root_bucket, batch_format="pyarrow")
+    return keyed_exchange(
+        edges.map_batches(with_roots, batch_format="pyarrow"),
+        ["u"],
+        labels,
+        n_buckets,
+        batch_format="pandas",
     )
-    return tagged.groupby(_B).map_groups(labels, batch_format="pandas")
 
 
 def cluster_dedup(
@@ -670,49 +648,31 @@ def _sssp_bucketed(
             partial=True,
         )
 
-        def tag(is_cand: bool):
-            def fn(batch: pa.Table) -> pa.Table:
-                nodes = batch["node"]
-                d = batch["d" if is_cand else "dist"]
-                return pa.table(
-                    {
-                        "node": nodes,
-                        "dist": pc.cast(d, pa.int64()),
-                        "__cand": pa.array(
-                            [is_cand] * len(batch), type=pa.bool_()
-                        ),
-                        _B: pa.array(
-                            _bucket_ids(
-                                nodes.to_numpy(zero_copy_only=False),
-                                n_buckets,
-                            )
-                        ),
-                    }
-                )
-
-            return fn
-
-        def merge(group: pd.DataFrame) -> pd.DataFrame:
+        def merge(sides: list[pd.DataFrame]) -> pd.DataFrame:
             # per node: old dist (≤1 row) vs candidate min (≤1 row)
-            old = group[~group["__cand"]].set_index("node")["dist"]
-            cnd = group[group["__cand"]].set_index("node")["dist"]
+            old = sides[0].set_index("node")["dist"]
+            cnd = sides[1].set_index("node")["d"]
             improved = cnd[
                 ~cnd.index.isin(old.index) | (cnd < old.reindex(cnd.index))
             ]
-            merged = old.copy()
-            merged = pd.concat(
-                [merged[~merged.index.isin(improved.index)], improved]
-            )
+            merged = pd.concat([old[~old.index.isin(improved.index)], improved])
             out = merged.reset_index()
             out.columns = ["node", "dist"]
             out["__improved"] = out["node"].isin(improved.index)
             return out
 
         merged = (
-            dist.map_batches(tag(False), batch_format="pyarrow")
-            .union(cand.map_batches(tag(True), batch_format="pyarrow"))
-            .groupby(_B)
-            .map_groups(merge, batch_format="pandas")
+            cogroup(
+                [dist, cand],
+                ["node"],
+                merge,
+                n_buckets,
+                batch_format="pandas",
+                schemas=[
+                    {"node": pa.string(), "dist": pa.int64()},
+                    {"node": pa.string(), "d": pa.int64()},
+                ],
+            )
             # coalesce: exchange output keeps input block count, which would
             # otherwise compound round over round through dist
             .repartition(n_buckets)
@@ -820,40 +780,25 @@ def _lpa_bucketed(
             votes, ["node"], best_of, n_buckets, batch_format="pandas"
         )
 
-        def tag_lab(is_new: bool):
-            def fn(batch: pa.Table) -> pa.Table:
-                lab = batch["newlab" if is_new else "label"]
-                return pa.table(
-                    {
-                        "node": batch["node"],
-                        "label": lab,
-                        "__new": pa.array(
-                            [is_new] * len(batch), type=pa.bool_()
-                        ),
-                        _B: pa.array(
-                            _bucket_ids(
-                                batch["node"].to_numpy(zero_copy_only=False),
-                                n_buckets,
-                            )
-                        ),
-                    }
-                )
-
-            return fn
-
-        def apply_votes(group: pd.DataFrame) -> pd.DataFrame:
-            old = group[~group["__new"]].set_index("node")["label"]
-            new = group[group["__new"]].set_index("node")["label"]
-            merged = new.combine_first(old)
-            out = merged.reset_index()
+        def apply_votes(sides: list[pd.DataFrame]) -> pd.DataFrame:
+            old = sides[0].set_index("node")["label"]
+            new = sides[1].set_index("node")["newlab"]
+            out = new.combine_first(old).reset_index()
             out.columns = ["node", "label"]
             return out
 
         labels = (
-            labels.map_batches(tag_lab(False), batch_format="pyarrow")
-            .union(best.map_batches(tag_lab(True), batch_format="pyarrow"))
-            .groupby(_B)
-            .map_groups(apply_votes, batch_format="pandas")
+            cogroup(
+                [labels, best],
+                ["node"],
+                apply_votes,
+                n_buckets,
+                batch_format="pandas",
+                schemas=[
+                    {"node": pa.string(), "label": pa.string()},
+                    {"node": pa.string(), "newlab": pa.string()},
+                ],
+            )
             # coalesce: keep the per-round label table at n_buckets blocks
             .repartition(n_buckets)
             .materialize()
@@ -1007,50 +952,26 @@ def _pagerank_bucketed(
             partial=True,
         )
 
-        def tag_nodes(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "node": batch["node"],
-                    "od": batch["od"],
-                    "c": pa.nulls(len(batch), pa.float64()),
-                    _B: pa.array(
-                        _bucket_ids(
-                            batch["node"].to_numpy(zero_copy_only=False),
-                            n_buckets,
-                        )
-                    ),
-                }
-            )
-
-        def tag_contrib(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "node": batch["node"],
-                    "od": pa.nulls(len(batch), pa.float64()),
-                    "c": pc.cast(batch["c"], pa.float64()),
-                    _B: pa.array(
-                        _bucket_ids(
-                            batch["node"].to_numpy(zero_copy_only=False),
-                            n_buckets,
-                        )
-                    ),
-                }
-            )
-
-        def apply(group: pd.DataFrame, _base=base) -> pd.DataFrame:
-            od = group[group["od"].notna()].set_index("node")["od"]
-            c = group[group["c"].notna()].groupby("node")["c"].sum()
-            out = od.reset_index()
+        def apply(sides: list[pd.DataFrame], _base=base) -> pd.DataFrame:
+            out = sides[0].dropna(subset=["od"])
+            c = sides[1].groupby("node")["c"].sum()
             out["rank"] = _base + damping * c.reindex(out["node"]).fillna(
                 0.0
             ).to_numpy()
             return out[["node", "od", "rank"]]
 
         ranks = (
-            nodes.map_batches(tag_nodes, batch_format="pyarrow")
-            .union(contrib.map_batches(tag_contrib, batch_format="pyarrow"))
-            .groupby(_B)
-            .map_groups(apply, batch_format="pandas")
+            cogroup(
+                [nodes, contrib],
+                ["node"],
+                apply,
+                n_buckets,
+                batch_format="pandas",
+                schemas=[
+                    {"node": pa.string(), "od": pa.float64()},
+                    {"node": pa.string(), "c": pa.float64()},
+                ],
+            )
             # coalesce: keep the per-round rank table at n_buckets blocks
             .repartition(n_buckets)
             .materialize()
@@ -1179,43 +1100,23 @@ def _hits_bucketed(
         if z == 0.0:
             return const_scores(0.0)
 
-        def tag(is_raw: bool):
-            def fn(batch: pa.Table) -> pa.Table:
-                return pa.table(
-                    {
-                        "node": batch["node"],
-                        "x": (
-                            pc.cast(batch["x"], pa.float64())
-                            if is_raw
-                            else pa.nulls(len(batch), pa.float64())
-                        ),
-                        "__raw": pa.array(
-                            [is_raw] * len(batch), type=pa.bool_()
-                        ),
-                        _B: pa.array(
-                            _bucket_ids(
-                                batch["node"].to_numpy(zero_copy_only=False),
-                                n_buckets,
-                            )
-                        ),
-                    }
-                )
-
-            return fn
-
-        def merge(group: pd.DataFrame, _z=float(z)) -> pd.DataFrame:
-            x = group[group["__raw"]].set_index("node")["x"]
-            allnodes = group[~group["__raw"]][["node"]]
+        def merge(sides: list[pd.DataFrame], _z=float(z)) -> pd.DataFrame:
+            allnodes, raw = sides
+            x = raw.set_index("node")["x"]
             allnodes["s"] = (
                 x.reindex(allnodes["node"]).fillna(0.0).to_numpy() / _z
             )
             return allnodes
 
         return (
-            nodes.map_batches(tag(False), batch_format="pyarrow")
-            .union(raw.map_batches(tag(True), batch_format="pyarrow"))
-            .groupby(_B)
-            .map_groups(merge, batch_format="pandas")
+            cogroup(
+                [nodes, raw],
+                ["node"],
+                merge,
+                n_buckets,
+                batch_format="pandas",
+                schemas=[{"node": pa.string()}, {"node": pa.string(), "x": pa.float64()}],
+            )
             # coalesce: score tables feed the next half-round's exchange
             .repartition(n_buckets)
             .materialize()
@@ -1227,45 +1128,22 @@ def _hits_bucketed(
         auth = half_round(hub, "u")
         hub = half_round(auth, "v")
 
-    def tag2(col: str):
-        def fn(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "node": batch["node"],
-                    "hub": (
-                        pc.cast(batch["s"], pa.float64())
-                        if col == "hub"
-                        else pa.nulls(len(batch), pa.float64())
-                    ),
-                    "authority": (
-                        pc.cast(batch["s"], pa.float64())
-                        if col == "authority"
-                        else pa.nulls(len(batch), pa.float64())
-                    ),
-                    _B: pa.array(
-                        _bucket_ids(
-                            batch["node"].to_numpy(zero_copy_only=False),
-                            n_buckets,
-                        )
-                    ),
-                }
-            )
-
-        return fn
-
-    def zip_scores(group: pd.DataFrame) -> pd.DataFrame:
-        h = group[group["hub"].notna()].set_index("node")["hub"]
-        a = group[group["authority"].notna()].set_index("node")["authority"]
+    def zip_scores(sides: list[pd.DataFrame]) -> pd.DataFrame:
+        h = sides[0].set_index("node")["s"]
+        a = sides[1].set_index("node")["s"]
         out = pd.DataFrame({"node": h.index})
         out["hub"] = h.to_numpy()
         out["authority"] = a.reindex(h.index).fillna(0.0).to_numpy()
         return out
 
-    return (
-        hub.map_batches(tag2("hub"), batch_format="pyarrow")
-        .union(auth.map_batches(tag2("authority"), batch_format="pyarrow"))
-        .groupby(_B)
-        .map_groups(zip_scores, batch_format="pandas")
+    scores = {"node": pa.string(), "s": pa.float64()}
+    return cogroup(
+        [hub, auth],
+        ["node"],
+        zip_scores,
+        n_buckets,
+        batch_format="pandas",
+        schemas=[scores, scores],
     )
 
 
@@ -2580,31 +2458,9 @@ def dag_longest_levels(
             partial=True,
         )
 
-        def tag(is_cand: bool):
-            def fn(batch: pa.Table) -> pa.Table:
-                nodes = batch["node"]
-                lv = batch["l" if is_cand else "level"]
-                return pa.table(
-                    {
-                        "node": nodes,
-                        "level": pc.cast(lv, pa.int64()),
-                        "__cand": pa.array(
-                            [is_cand] * len(batch), type=pa.bool_()
-                        ),
-                        _B: pa.array(
-                            _bucket_ids(
-                                nodes.to_numpy(zero_copy_only=False),
-                                n_buckets,
-                            )
-                        ),
-                    }
-                )
-
-            return fn
-
-        def merge(group: pd.DataFrame) -> pd.DataFrame:
-            old = group[~group["__cand"]].set_index("node")["level"]
-            cnd = group[group["__cand"]].set_index("node")["level"]
+        def merge(sides: list[pd.DataFrame]) -> pd.DataFrame:
+            old = sides[0].set_index("node")["level"]
+            cnd = sides[1].set_index("node")["l"]
             improved = cnd[cnd > old.reindex(cnd.index).fillna(-1)]
             merged = pd.concat(
                 [old[~old.index.isin(improved.index)], improved]
@@ -2615,10 +2471,17 @@ def dag_longest_levels(
             return out
 
         merged = (
-            lev.map_batches(tag(False), batch_format="pyarrow")
-            .union(cand.map_batches(tag(True), batch_format="pyarrow"))
-            .groupby(_B)
-            .map_groups(merge, batch_format="pandas")
+            cogroup(
+                [lev, cand],
+                ["node"],
+                merge,
+                n_buckets,
+                batch_format="pandas",
+                schemas=[
+                    {"node": id_type, "level": pa.int64()},
+                    {"node": id_type, "l": pa.int64()},
+                ],
+            )
             .repartition(n_buckets)
             .materialize()
         )
@@ -2660,7 +2523,6 @@ def wl_colors(
     from .dedup import batch_local_dedup, exact_dedup
     from .join import shuffle_join
     from .rollup import grouped_agg
-    from ..functions.hashing import stable_hash_u64
 
     def sym(b: pa.Table) -> pa.Table:
         u = b[src].cast(pa.string()).combine_chunks()
@@ -2722,40 +2584,10 @@ def wl_colors(
             ),
         )
 
-        def tag_own(b: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "node": b["node"],
-                    "c": b["color"],
-                    "__own": pa.array([True] * len(b), type=pa.bool_()),
-                    _B: pa.array(
-                        _bucket_ids(
-                            b["node"].to_numpy(zero_copy_only=False), n_buckets
-                        )
-                    ),
-                }
-            )
-
-        def tag_neigh(b: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "node": b["node"],
-                    "c": b["ncolor"],
-                    "__own": pa.array([False] * len(b), type=pa.bool_()),
-                    _B: pa.array(
-                        _bucket_ids(
-                            b["node"].to_numpy(zero_copy_only=False), n_buckets
-                        )
-                    ),
-                }
-            )
-
-        def refine(group: pd.DataFrame) -> pd.DataFrame:
-            own = group[group["__own"]].set_index("node")["c"]
-            ng = group[~group["__own"]].sort_values(
-                ["node", "c"], kind="mergesort"
-            )
-            agg = ng.groupby("node", sort=False)["c"].agg(",".join)
+        def refine(sides: list[pd.DataFrame]) -> pd.DataFrame:
+            own = sides[0].set_index("node")["color"]
+            ng = sides[1].sort_values(["node", "ncolor"], kind="mergesort")
+            agg = ng.groupby("node", sort=False)["ncolor"].agg(",".join)
             composed = (own + "|" + agg.reindex(own.index)).to_numpy()
             new = stable_hash_u64(list(composed))
             return pd.DataFrame(
@@ -2766,10 +2598,17 @@ def wl_colors(
             )
 
         colors = (
-            colors.map_batches(tag_own, batch_format="pyarrow")
-            .union(neigh.map_batches(tag_neigh, batch_format="pyarrow"))
-            .groupby(_B)
-            .map_groups(refine, batch_format="pandas")
+            cogroup(
+                [colors, neigh],
+                ["node"],
+                refine,
+                n_buckets,
+                batch_format="pandas",
+                schemas=[
+                    {"node": pa.string(), "color": pa.string()},
+                    {"node": pa.string(), "ncolor": pa.string()},
+                ],
+            )
             .repartition(n_buckets)
             .materialize()
         )

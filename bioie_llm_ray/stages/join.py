@@ -7,17 +7,23 @@ that matter at scale:
   blocklist) shipped once via ``ray.put``, probed per batch with
   ``pyarrow.Table.join`` — zero shuffle.  This is the right join for every
   dimension lookup in a star schema and for entity linking.
-- ``shuffle_join``: both sides large — tag each side, add a stable hash
-  bucket on the key, union, group by bucket, join the two sides of each
-  bucket with Arrow inside ``map_groups``.  An explicit partitioned hash
-  join; bucket count B and hot-key salting are the caller's scale knobs.
+- ``shuffle_join``: both sides large — one ``exchange.cogroup`` on the
+  key brings both sides of each hash bucket into one call, which joins
+  them with Arrow.  An explicit partitioned hash join; bucket count B and
+  hot-key salting are the caller's scale knobs.
 - ``anti_semi_filter``: semi/anti join against a broadcast key set.
 - ``shuffle_semi_join``: semi/anti join when the right side is itself a
   large table (EXISTS / NOT EXISTS against another fact table) — right
   keys dedup per batch before one bucketed exchange.
+- ``asof_join`` / ``interval_join``: latest-earlier and containing-range
+  matches per key, one pandas pass per bucket of the same exchange.
 - ``auto_join``: the planner rule — build side under a size threshold
   broadcasts, anything larger (or unknown, or carrying a bucket_post
   rollup) takes the shuffle plan.
+
+Every two-input join here is one ``cogroup`` call: the exchange, the
+side tags and the schema widening live in ``stages/exchange.py``, and
+each join keeps only its per-bucket kernel.
 
 Ray 2.49 does ship a native ``Dataset.join`` (hash-shuffle via aggregator
 actors); measured on the q3 fact-fact shape (600k lineitem ⋈ 150k orders,
@@ -30,16 +36,11 @@ global shuffle — so the explicit join stays the engine default.
 from __future__ import annotations
 
 import pyarrow as pa
-
-from ..functions.arrowio import from_pandas_clean
-import pyarrow.compute as pc
 import ray
 
-from ..functions.hashing import bucket_ids_for_column, hash_bucket
-from .exchange import keyed_exchange
+from ..functions.arrowio import from_pandas_clean
+from .exchange import _schema_types, cogroup, keyed_exchange
 
-_TAG = "__side"
-_BUCKET = "__bucket"
 _CHUNK = "__chunk"
 
 
@@ -84,10 +85,9 @@ def shuffle_join(
 ) -> ray.data.Dataset:
     """Partitioned hash join of two large Datasets on equal column names.
 
-    Both sides are tagged and bucketed by ``stable_hash(key) % n_buckets``;
-    the union shuffles once on the bucket column; each group joins its two
-    sides with Arrow.  Size ``n_buckets`` ≥ cluster parallelism; salt hot
-    keys upstream if one key dominates.
+    One ``cogroup`` on ``keys`` brings both sides of each hash bucket into
+    one call, which joins them with Arrow.  Size ``n_buckets`` ≥ cluster
+    parallelism; salt hot keys upstream if one key dominates.
 
     ``left_schema``/``right_schema`` ({name: pyarrow type}) skip the
     ``Dataset.schema()`` probes — those execute one upstream block each, a
@@ -100,81 +100,14 @@ def shuffle_join(
     """
     keys = [keys] if isinstance(keys, str) else list(keys)
 
-    def tag(side: str):
-        def fn(batch: pa.Table) -> pa.Table:
-            if len(keys) == 1:
-                # single-column key: vectorized bucket ids (no per-row md5)
-                ids = bucket_ids_for_column(batch[keys[0]], n_buckets)
-            else:
-                key_strs = [
-                    "\x1f".join(map(str, vals))
-                    for vals in zip(*(batch[k].to_pylist() for k in keys))
-                ]
-                ids = hash_bucket(key_strs, n_buckets)
-            batch = batch.append_column(_BUCKET, pa.array(ids))
-            return batch.append_column(
-                _TAG, pa.array([side] * len(batch), type=pa.string())
-            )
-
-        return fn
-
-    # align schemas for union: left columns ∪ right columns, null-filled
-    left_t = left.map_batches(tag("l"), batch_format="pyarrow")
-    right_t = right.map_batches(tag("r"), batch_format="pyarrow")
-
-    if left_schema is None:
-        left_schema = _schema_types(left)
-    if right_schema is None:
-        right_schema = _schema_types(right)
-    left_names = list(left_schema)
-    right_names = list(right_schema)
-    l_only = [c for c in left_names if c not in right_names]
-    r_only = [c for c in right_names if c not in left_names]
-
-    def widen(missing_from: list[str], schema_src: dict):
-        def fn(batch: pa.Table) -> pa.Table:
-            for c in missing_from:
-                batch = batch.append_column(
-                    c, pa.nulls(len(batch), type=schema_src[c])
-                )
-            return batch
-
-        return fn
-
-    left_t = left_t.map_batches(widen(r_only, right_schema), batch_format="pyarrow")
-    right_t = right_t.map_batches(widen(l_only, left_schema), batch_format="pyarrow")
-    # column order must match for union
-    order = keys + sorted(
-        c for c in set(left_names + right_names) if c not in keys
-    ) + [_BUCKET, _TAG]
-    left_t = left_t.map_batches(lambda b: b.select(order), batch_format="pyarrow")
-    right_t = right_t.map_batches(lambda b: b.select(order), batch_format="pyarrow")
-    union = left_t.union(right_t)
-
-    lcols = [c for c in left_names if c not in keys]
-    rcols = [c for c in right_names if c not in keys]
-    # The bucket exchange may unify blocks through pandas: a null-widened
-    # int64 column comes back as double (silent precision loss above 2^53)
-    # and an all-null column in a one-sided bucket comes back null-typed
-    # (which the Arrow join kernel rejects outright).  Cast each side back
-    # to its DECLARED schema before joining — the selected columns are the
-    # side's own, so the cast is exact (integral doubles -> int64, null ->
-    # typed-null), and every bucket emits one consistent schema.
-    l_decl = pa.schema([(c, left_schema[c]) for c in keys + lcols])
-    r_decl = pa.schema([(c, right_schema[c]) for c in keys + rcols])
-
-    def join_bucket(group: pa.Table) -> pa.Table:
-        mask = pc.equal(group[_TAG], "l")
-        l = group.filter(mask).select(keys + lcols)
-        r = group.filter(pc.invert(mask)).select(keys + rcols)
-        if l.schema != l_decl:
-            l = l.cast(l_decl)
-        if r.schema != r_decl:
-            r = r.cast(r_decl)
+    def join_bucket(sides: list[pa.Table]) -> pa.Table:
+        l, r = sides
         joined = l.join(r, keys=keys, join_type=join_type)
         return bucket_post(joined) if bucket_post is not None else joined
 
-    return union.groupby(_BUCKET).map_groups(join_bucket, batch_format="pyarrow")
+    return cogroup(
+        [left, right], keys, join_bucket, n_buckets, schemas=[left_schema, right_schema]
+    )
 
 
 def salted_shuffle_join(
@@ -265,98 +198,6 @@ def salted_shuffle_join(
     )
 
 
-def shuffle_join_packed(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
-    keys: list[str] | str,
-    n_buckets: int = 32,
-    join_type: str = "inner",
-    bucket_post=None,
-) -> ray.data.Dataset:
-    """Partitioned hash join that ships Arrow-IPC blobs, not widened rows.
-
-    ``shuffle_join`` unions the two sides into one schema, null-filling each
-    side's missing columns — roughly 2× the necessary shuffle payload on
-    wide tables.  Here each map task pre-partitions its batch by bucket and
-    emits ONE row per (batch, bucket): ``(bucket, side, blob)`` where blob
-    is the Arrow IPC serialization of that sub-batch.  The groupby then
-    moves exactly the bytes each side owns; the reducer deserializes,
-    concatenates per side, and runs the same Arrow join (+ optional
-    ``bucket_post`` rollup).  No ``Dataset.schema()`` probes needed — the
-    blob carries its own schema.
-
-    Trade-off, measured (600k rows × 12 float payload cols ⋈ 100k dim, 32
-    local CPUs): widened union 1.7 s vs packed 3.9 s — on a SINGLE node the
-    "network" is shared memory, so the IPC CPU cost buys nothing.  On a
-    multi-node cluster the exchange crosses real NICs and the ~2× byte
-    reduction is the win; pick per deployment.  ``shuffle_join`` remains
-    the single-node default.
-    """
-    keys = [keys] if isinstance(keys, str) else list(keys)
-
-    def pack(side: str):
-        def fn(batch: pa.Table) -> pa.Table:
-            import io
-
-            if len(keys) == 1:
-                ids = bucket_ids_for_column(batch[keys[0]], n_buckets)
-            else:
-                key_strs = [
-                    "\x1f".join(map(str, vals))
-                    for vals in zip(*(batch[k].to_pylist() for k in keys))
-                ]
-                ids = hash_bucket(key_strs, n_buckets)
-            import numpy as np
-
-            order = np.argsort(ids, kind="stable")
-            sorted_batch = batch.take(pa.array(order))
-            sorted_ids = ids[order]
-            bounds = np.searchsorted(sorted_ids, np.arange(n_buckets + 1))
-            out_bucket, out_blob = [], []
-            for b in range(n_buckets):
-                lo, hi = bounds[b], bounds[b + 1]
-                # empty buckets still emit a schema-only blob (~100 bytes):
-                # every reducer then sees both sides and knows both schemas,
-                # so one-sided buckets join correctly without schema probes
-                sink = io.BytesIO()
-                piece = sorted_batch.slice(lo, hi - lo)
-                with pa.ipc.new_stream(sink, piece.schema) as w:
-                    w.write_table(piece)
-                out_bucket.append(b)
-                out_blob.append(sink.getvalue())
-            return pa.table(
-                {
-                    _BUCKET: pa.array(out_bucket, type=pa.int64()),
-                    _TAG: pa.array([side] * len(out_bucket), type=pa.string()),
-                    "blob": pa.array(out_blob, type=pa.large_binary()),
-                }
-            )
-
-        return fn
-
-    union = left.map_batches(pack("l"), batch_format="pyarrow").union(
-        right.map_batches(pack("r"), batch_format="pyarrow")
-    )
-
-    def join_bucket(group: pa.Table) -> pa.Table:
-        def side_table(tag: str) -> pa.Table | None:
-            mask = pc.equal(group[_TAG], tag)
-            blobs = group.filter(mask)["blob"].to_pylist()
-            if not blobs:
-                return None
-            parts = [pa.ipc.open_stream(b).read_all() for b in blobs]
-            return pa.concat_tables(parts, promote_options="default")
-
-        l, r = side_table("l"), side_table("r")
-        joined = l.join(r, keys=keys, join_type=join_type)
-        return bucket_post(joined) if bucket_post is not None else joined
-
-    return (
-        union.groupby(_BUCKET)
-        .map_groups(join_bucket, batch_format="pyarrow")
-    )
-
-
 def anti_semi_filter(
     ds: ray.data.Dataset,
     key_set,
@@ -404,68 +245,36 @@ def shuffle_semi_join(
       (combiner) so only distinct keys enter the exchange — for a fact table
       with many rows per key this shrinks the shuffled payload by the key
       multiplicity before any network hop;
-    - both sides bucket by ``stable_hash(key) % n_buckets`` and union;
-    - each bucket runs the Arrow ``left semi`` / ``left anti`` join kernel —
-      left payload columns never widen onto right rows (right rows carry
-      nulls), and the output is exactly the surviving left rows.
+    - one ``cogroup`` on the key brings both sides of each bucket together;
+    - each bucket runs the Arrow ``left semi`` / ``left anti`` join kernel,
+      and the output is exactly the surviving left rows.
 
     ``bucket_post(kept: pa.Table) -> pa.Table`` folds a per-key rollup into
     the join bucket (every key lands in one bucket, so it is exact), same
     contract as ``shuffle_join``.
     """
     keys = [keys] if isinstance(keys, str) else list(keys)
-
-    def bucket_ids(batch: pa.Table):
-        if len(keys) == 1:
-            return bucket_ids_for_column(batch[keys[0]], n_buckets)
-        key_strs = [
-            "\x1f".join(map(str, vals))
-            for vals in zip(*(batch[k].to_pylist() for k in keys))
-        ]
-        return hash_bucket(key_strs, n_buckets)
-
     if left_schema is None:
         left_schema = _schema_types(left)
-    payload = [c for c in left_schema if c not in keys]
-
-    def tag_left(batch: pa.Table) -> pa.Table:
-        batch = batch.select(keys + payload)
-        batch = batch.append_column(_BUCKET, pa.array(bucket_ids(batch)))
-        return batch.append_column(
-            _TAG, pa.array([False] * len(batch), type=pa.bool_())
-        )
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        # combiner: distinct keys only — the semi join needs existence, not rows
-        batch = batch.select(keys).group_by(keys).aggregate([])
-        for c in payload:
-            batch = batch.append_column(
-                c, pa.nulls(len(batch), type=left_schema[c])
-            )
-        batch = batch.select(keys + payload)
-        batch = batch.append_column(_BUCKET, pa.array(bucket_ids(batch)))
-        return batch.append_column(
-            _TAG, pa.array([True] * len(batch), type=pa.bool_())
-        )
-
-    left_t = left.map_batches(tag_left, batch_format="pyarrow")
-    right_t = right.map_batches(tag_right, batch_format="pyarrow")
-    union = left_t.union(right_t)
     how = "left anti" if anti else "left semi"
 
-    def join_bucket(group: pa.Table) -> pa.Table:
-        mask = group[_TAG]
-        l = group.filter(pc.invert(mask)).select(keys + payload)
-        r = (
-            group.filter(mask)
-            .select(keys)
-            .group_by(keys)
-            .aggregate([])  # dedup across right batches within the bucket
-        )
-        kept = l.join(r, keys=keys, join_type=how)
+    def distinct_keys(batch: pa.Table) -> pa.Table:
+        # combiner: the semi join needs existence, not rows
+        return batch.select(keys).group_by(keys).aggregate([])
+
+    def semi_bucket(sides: list[pa.Table]) -> pa.Table:
+        l, r = sides
+        # dedup across right batches within the bucket
+        kept = l.join(distinct_keys(r), keys=keys, join_type=how)
         return bucket_post(kept) if bucket_post is not None else kept
 
-    return union.groupby(_BUCKET).map_groups(join_bucket, batch_format="pyarrow")
+    return cogroup(
+        [left, right.map_batches(distinct_keys, batch_format="pyarrow")],
+        keys,
+        semi_bucket,
+        n_buckets,
+        schemas=[left_schema, {k: left_schema[k] for k in keys}],
+    )
 
 
 def bloom_prefilter(
@@ -541,27 +350,6 @@ def build_bloom_distributed(
     return BloomFilter(words, m_bits, k)
 
 
-def _schema_types(ds: ray.data.Dataset) -> dict:
-    """{name: pyarrow type} from ``Dataset.schema()``.
-
-    Pandas-backed blocks report object-dtype columns as the Python class
-    ``object`` instead of a pyarrow DataType — normalize those to
-    ``pa.string()`` (the only object payload these operators emit) and
-    numpy dtypes via ``pa.from_numpy_dtype``.
-    """
-    s = ds.schema()
-    out = {}
-    for name, t in zip(s.names, s.types):
-        if isinstance(t, pa.DataType):
-            out[name] = t
-        else:
-            try:
-                out[name] = pa.from_numpy_dtype(t)
-            except (TypeError, pa.ArrowNotImplementedError):
-                out[name] = pa.string()
-    return out
-
-
 def asof_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
@@ -573,12 +361,12 @@ def asof_join(
     """As-of join: for each left row, the latest right row with
     ``right.on <= left.on`` within the same ``by`` key (backward search).
 
-    Composition per the Ray Data guide: tag + bucket by the ``by`` key (all
-    rows of a key land in one bucket), then ``pd.merge_asof`` over the
-    sorted sides of each bucket — one vectorized pass per bucket.  Inner
-    semantics (left rows with no earlier right row are dropped), matching
-    DuckDB's ``ASOF JOIN``.  Right's ``on`` value is surfaced as
-    ``{on}{suffix}``; colliding right payload columns are suffixed too.
+    One ``cogroup`` on the ``by`` key (all rows of a key land in one
+    bucket), then ``pd.merge_asof`` over the sorted sides of each bucket —
+    one vectorized pass per bucket.  Inner semantics (left rows with no
+    earlier right row are dropped), matching DuckDB's ``ASOF JOIN``.
+    Right's ``on`` value is surfaced as ``{on}{suffix}``; colliding right
+    payload columns are suffixed too.
     """
     import pandas as pd
 
@@ -586,63 +374,14 @@ def asof_join(
     r_schema = _schema_types(right)
     l_payload = [c for c in l_schema if c not in (by, on)]
     r_payload_src = [c for c in r_schema if c not in (by, on)]
-    # right payload names after collision-suffixing (+ the right timestamp)
+    # right payload names after collision-suffixing
     r_renamed = {
         c: (c + suffix if c in l_schema else c) for c in r_payload_src
     }
-    r_payload = [r_renamed[c] for c in r_payload_src] + [on + suffix]
 
-    def tag_left(batch: pa.Table) -> pa.Table:
-        for c in r_payload:
-            batch = batch.append_column(
-                c,
-                pa.nulls(
-                    len(batch),
-                    type=r_schema.get(
-                        c[: -len(suffix)] if c.endswith(suffix) else c,
-                        r_schema.get(on),
-                    ),
-                ),
-            )
-        batch = batch.append_column(
-            _BUCKET, pa.array(bucket_ids_for_column(batch[by], n_buckets))
-        )
-        return batch.append_column(
-            _TAG, pa.array(["l"] * len(batch), type=pa.string())
-        )
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        for old, new in r_renamed.items():
-            if new != old:
-                batch = batch.rename_columns(
-                    [new if n == old else n for n in batch.column_names]
-                )
-        batch = batch.append_column(on + suffix, batch[on])
-        for c in l_payload:
-            batch = batch.append_column(
-                c, pa.nulls(len(batch), type=l_schema[c])
-            )
-        batch = batch.append_column(
-            _BUCKET, pa.array(bucket_ids_for_column(batch[by], n_buckets))
-        )
-        return batch.append_column(
-            _TAG, pa.array(["r"] * len(batch), type=pa.string())
-        )
-
-    order = [by, on] + sorted(set(l_payload) | set(r_payload)) + [_BUCKET, _TAG]
-    left_t = left.map_batches(tag_left, batch_format="pyarrow").map_batches(
-        lambda b: b.select(order), batch_format="pyarrow"
-    )
-    right_t = right.map_batches(tag_right, batch_format="pyarrow").map_batches(
-        lambda b: b.select(order), batch_format="pyarrow"
-    )
-    union = left_t.union(right_t)
-
-    # Declared output schema — every bucket (including empty / one-sided ones)
+    # Declared output schema — every bucket (including one-sided ones)
     # returns exactly this, so Ray block unification never sees mixed dtypes
-    # and int64 ids survive the pandas round-trip (pandas promotes
-    # int64-with-null to float64; we split sides BEFORE to_pandas so each
-    # side's own columns are null-free, and cast the merged frame back).
+    # (pandas promotes int64-with-null to float64; cast the merged frame back).
     out_schema = pa.schema(
         [(by, l_schema[by]), (on, l_schema[on])]
         + [(c, l_schema[c]) for c in l_payload]
@@ -650,14 +389,17 @@ def asof_join(
         + [(on + suffix, r_schema[on])]
     )
 
-    def join_bucket(group: pa.Table) -> pa.Table:
-        mask = pc.equal(group[_TAG], "l")
-        l_t = group.filter(mask).select([by, on] + l_payload)
-        r_t = group.filter(pc.invert(mask)).select([by, on] + r_payload)
+    def asof_bucket(sides: list[pa.Table]) -> pa.Table:
+        l_t, r_t = sides
         if len(l_t) == 0 or len(r_t) == 0:
             return out_schema.empty_table()
         l = l_t.to_pandas().sort_values(on, kind="mergesort")
-        r = r_t.to_pandas().sort_values(on, kind="mergesort")
+        r = (
+            r_t.to_pandas()
+            .rename(columns=r_renamed)
+            .sort_values(on, kind="mergesort")
+        )
+        r[on + suffix] = r[on]
         merged = pd.merge_asof(l, r, on=on, by=by, direction="backward")
         merged = merged[merged[on + suffix].notna()]
         # merge_asof left-joins, so unmatched-left NaNs promoted right int
@@ -666,7 +408,9 @@ def asof_join(
             merged[out_schema.names], schema=out_schema, preserve_index=False
         )
 
-    return union.groupby(_BUCKET).map_groups(join_bucket, batch_format="pyarrow")
+    return cogroup(
+        [left, right], [by], asof_bucket, n_buckets, schemas=[l_schema, r_schema]
+    )
 
 
 def interval_join(
@@ -684,7 +428,7 @@ def interval_join(
     key and ``right.start <= left.on <= right.end`` (inner semantics).
 
     The sibling of ``asof_join`` for window containment — e.g. assigning
-    events to the session span that contains them.  Tag + bucket by the
+    events to the session span that contains them.  One ``cogroup`` on the
     ``by`` key, then one vectorized pandas pass per bucket: equi-merge on
     the key and filter BETWEEN — the per-key cross size is the same work a
     SQL BETWEEN join does, and the output bound is inherent.
@@ -704,7 +448,6 @@ def interval_join(
     l_payload = [c for c in l_schema if c not in (by, on)]
     r_payload_src = [c for c in r_schema if c not in (by,)]
     r_renamed = {c: (c + suffix if c in l_schema else c) for c in r_payload_src}
-    r_payload = [r_renamed[c] for c in r_payload_src]
     start_o, end_o = r_renamed[start], r_renamed[end]
 
     out_schema = pa.schema(
@@ -713,101 +456,52 @@ def interval_join(
         + [(r_renamed[c], r_schema[c]) for c in r_payload_src]
     )
 
-    def tag_left(batch: pa.Table) -> pa.Table:
-        for c in r_payload:
-            src = c[: -len(suffix)] if c.endswith(suffix) and c[: -len(suffix)] in r_schema else c
-            batch = batch.append_column(
-                c, pa.nulls(len(batch), type=r_schema[src])
-            )
-        if time_chunk is None:
-            ids = bucket_ids_for_column(batch[by], n_buckets)
-            chunks = [""] * len(batch)
-        else:
+    keys = [by]
+    if time_chunk is not None:
+        keys = [by, _CHUNK]
+
+        def chunk_left(batch: pa.Table) -> pa.Table:
             floored = pd.Series(batch[on].to_pandas()).dt.floor(time_chunk)
-            chunks = [t.isoformat() for t in floored]
-            keys = [
-                f"{k}|{c}" for k, c in zip(batch[by].to_pylist(), chunks)
-            ]
-            ids = hash_bucket(keys, n_buckets)
-        batch = batch.append_column(
-            _CHUNK, pa.array(chunks, type=pa.string())
-        )
-        batch = batch.append_column(_BUCKET, pa.array(ids))
-        return batch.append_column(
-            _TAG, pa.array(["l"] * len(batch), type=pa.string())
-        )
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        for old, new in r_renamed.items():
-            if new != old:
-                batch = batch.rename_columns(
-                    [new if n == old else n for n in batch.column_names]
-                )
-        for c in [on] + l_payload:
-            batch = batch.append_column(
-                c, pa.nulls(len(batch), type=l_schema[c])
-            )
-        if time_chunk is None:
-            batch = batch.append_column(
-                _CHUNK, pa.array([""] * len(batch), type=pa.string())
-            )
-            ids = pa.array(bucket_ids_for_column(batch[by], n_buckets))
-            batch = batch.append_column(_BUCKET, ids)
             return batch.append_column(
-                _TAG, pa.array(["r"] * len(batch), type=pa.string())
+                _CHUNK, pa.array([t.isoformat() for t in floored], type=pa.string())
             )
-        # replicate each interval to every chunk it overlaps; the replica
-        # carries its chunk so the per-bucket merge keys on (by, chunk) and
-        # a pair never matches twice even when several chunks share a bucket
-        starts = pd.Series(batch[start_o].to_pandas()).dt.floor(time_chunk)
-        ends = pd.Series(batch[end_o].to_pandas()).dt.floor(time_chunk)
-        step = pd.Timedelta(time_chunk)
-        idx, keys, chunks = [], [], []
-        bys = batch[by].to_pylist()
-        for i, (s0, e0) in enumerate(zip(starts, ends)):
-            c = s0
-            while c <= e0:
-                idx.append(i)
-                chunks.append(c.isoformat())
-                keys.append(f"{bys[i]}|{chunks[-1]}")
-                c = c + step
-        rep = batch.take(pa.array(idx, type=pa.int64()))
-        rep = rep.append_column(_CHUNK, pa.array(chunks, type=pa.string()))
-        rep = rep.append_column(
-            _BUCKET, pa.array(hash_bucket(keys, n_buckets))
-        )
-        return rep.append_column(
-            _TAG, pa.array(["r"] * len(rep), type=pa.string())
-        )
 
-    order = (
-        [by, on]
-        + sorted(set(l_payload) | set(r_payload))
-        + [_CHUNK, _BUCKET, _TAG]
-    )
-    left_t = left.map_batches(tag_left, batch_format="pyarrow").map_batches(
-        lambda b: b.select(order), batch_format="pyarrow"
-    )
-    right_t = right.map_batches(tag_right, batch_format="pyarrow").map_batches(
-        lambda b: b.select(order), batch_format="pyarrow"
-    )
-    union = left_t.union(right_t)
+        def chunk_right(batch: pa.Table) -> pa.Table:
+            # replicate each interval to every chunk it overlaps; the replica
+            # carries its chunk so the per-bucket merge keys on (by, chunk) and
+            # a pair never matches twice even when several chunks share a bucket
+            starts = pd.Series(batch[start].to_pandas()).dt.floor(time_chunk)
+            ends = pd.Series(batch[end].to_pandas()).dt.floor(time_chunk)
+            step = pd.Timedelta(time_chunk)
+            idx, chunks = [], []
+            for i, (c, e0) in enumerate(zip(starts, ends)):
+                while c <= e0:
+                    idx.append(i)
+                    chunks.append(c.isoformat())
+                    c = c + step
+            rep = batch.take(pa.array(idx, type=pa.int64()))
+            return rep.append_column(_CHUNK, pa.array(chunks, type=pa.string()))
 
-    def join_bucket(group: pa.Table) -> pa.Table:
-        mask = pc.equal(group[_TAG], "l")
-        l_t = group.filter(mask).select([by, _CHUNK, on] + l_payload)
-        r_t = group.filter(pc.invert(mask)).select([by, _CHUNK] + r_payload)
+        left = left.map_batches(chunk_left, batch_format="pyarrow")
+        right = right.map_batches(chunk_right, batch_format="pyarrow")
+        l_schema = dict(l_schema, **{_CHUNK: pa.string()})
+        r_schema = dict(r_schema, **{_CHUNK: pa.string()})
+
+    def interval_bucket(sides: list[pa.Table]) -> pa.Table:
+        l_t, r_t = sides
         if len(l_t) == 0 or len(r_t) == 0:
             return out_schema.empty_table()
         l = l_t.to_pandas()
-        r = r_t.to_pandas()
-        m = l.merge(r, on=[by, _CHUNK], how="inner")
+        r = r_t.to_pandas().rename(columns=r_renamed)
+        m = l.merge(r, on=keys, how="inner")
         m = m[(m[start_o] <= m[on]) & (m[on] <= m[end_o])]
         return from_pandas_clean(
             m[out_schema.names], schema=out_schema, preserve_index=False
         )
 
-    return union.groupby(_BUCKET).map_groups(join_bucket, batch_format="pyarrow")
+    return cogroup(
+        [left, right], keys, interval_bucket, n_buckets, schemas=[l_schema, r_schema]
+    )
 
 
 def auto_join(

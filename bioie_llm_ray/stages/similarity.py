@@ -17,7 +17,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from .exchange import keyed_exchange
+from .exchange import cogroup, keyed_exchange
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:
@@ -195,8 +195,9 @@ def knn_join(
     2. corpus vectors emit one *member* row each (nearest centroid);
        query vectors emit ``n_probe`` *query* rows (n_probe nearest
        centroids) — replication is n_probe×, never |queries|×;
-    3. groupby centroid: one vectorized Q·Mᵀ block matmul per cell emits
-       per-query partial top-k (boundary ties widened);
+    3. one ``cogroup`` of members and query rows on the cell: one
+       vectorized Q·Mᵀ block matmul per cell emits per-query partial
+       top-k (boundary ties widened);
     4. global per-query merge via the bucket-group pattern
        (``hash(qid) % B``, one pandas sort+head(k) pass per bucket).
 
@@ -263,19 +264,12 @@ def knn_join(
             return pa.table(
                 {
                     "cell": pa.array(np.asarray(sub_cell, dtype=np.int32)),
-                    "role": pa.array(
-                        np.full(len(rid), role_val, dtype=np.int8)
-                    ),
-                    "vid": pa.array(rid),
+                    "vid": pa.array(rid, type=pa.int64()),
                     "emb": pa.array(list(emb[row_idx])),
                 }
             )
 
         return fn
-
-    members = corpus_ds.map_batches(assign(0), batch_format="pyarrow")
-    probes = queries_ds.map_batches(assign(1), batch_format="pyarrow")
-    assigned = members.union(probes)
 
     empty_partial = pa.table(
         {
@@ -285,15 +279,11 @@ def knn_join(
         }
     )
 
-    def cell_topk(group: pa.Table) -> pa.Table:
-        role = np.asarray(group["role"].to_pylist(), dtype=np.int8)
-        vids = np.asarray(group["vid"].to_pylist(), dtype=np.int64)
-        emb = np.stack(group["emb"].to_numpy(zero_copy_only=False))
-        q_mask, m_mask = role == 1, role == 0
-        if not q_mask.any() or not m_mask.any():
-            return empty_partial
-        Q, M = emb[q_mask], emb[m_mask]
-        q_ids, m_ids = vids[q_mask], vids[m_mask]
+    def cell_topk(members: pa.Table, probes: pa.Table) -> pa.Table:
+        m_ids = np.asarray(members["vid"].to_pylist(), dtype=np.int64)
+        q_ids = np.asarray(probes["vid"].to_pylist(), dtype=np.int64)
+        M = np.stack(members["emb"].to_numpy(zero_copy_only=False))
+        Q = np.stack(probes["emb"].to_numpy(zero_copy_only=False))
         sims = Q @ M.T
         kk = min(k + (1 if exclude_self else 0), sims.shape[1])
         out_q, out_n, out_s = [], [], []
@@ -316,8 +306,34 @@ def knn_join(
             }
         )
 
-    partials = assigned.groupby("cell").map_groups(
-        cell_topk, batch_format="pyarrow"
+    def bucket_topk(sides: list[pa.Table]) -> pa.Table:
+        # a bucket may hold several cells: one block matmul per cell
+        members, probes = sides
+        m_cell = members["cell"].to_numpy()
+        q_cell = probes["cell"].to_numpy()
+        outs = [
+            cell_topk(
+                members.filter(pa.array(m_cell == c)),
+                probes.filter(pa.array(q_cell == c)),
+            )
+            for c in np.intersect1d(m_cell, q_cell)
+        ]
+        return pa.concat_tables(outs) if outs else empty_partial
+
+    cell_rows = {
+        "cell": pa.int32(),
+        "vid": pa.int64(),
+        "emb": pa.list_(pa.float64()),
+    }
+    partials = cogroup(
+        [
+            corpus_ds.map_batches(assign(0), batch_format="pyarrow"),
+            queries_ds.map_batches(assign(1), batch_format="pyarrow"),
+        ],
+        ["cell"],
+        bucket_topk,
+        int(sub_counts.sum()),
+        schemas=[cell_rows, cell_rows],
     )
 
     def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:

@@ -276,32 +276,12 @@ class TestExchangePathParity:
             assert got["size"].sum() == 200
 
 
-# Functions that still build their own "__bucket" exchange, and why the
-# keyed exchange does not fit them: each groups the union of two or more
-# inputs tagged by the same bucket.
-HAND_ROLLED_EXCHANGES = {
-    "stages/graph.py": {
-        "connected_components": "edge rows unioned with root rows",
-        "_sssp_bucketed": "distances unioned with candidate distances",
-        "_lpa_bucketed": "labels unioned with the round's best votes",
-        "_pagerank_bucketed": "ranks unioned with contributions",
-        "_hits_bucketed": "scores unioned with raw scores",
-        "dag_longest_levels": "levels unioned with candidate levels",
-        "wl_colors": "colors unioned with neighbour colors",
-    },
-    "stages/join.py": {
-        "shuffle_join": "two-input join",
-        "shuffle_join_packed": "two-input join",
-        "shuffle_semi_join": "two-input join",
-        "asof_join": "two-input join",
-        "interval_join": "two-input join",
-    },
-}
-
-
 def _bucket_exchange_functions(path: str) -> set:
-    """Top-level functions of ``path`` that group by, or append, a
-    ``"__bucket"`` column, given as a literal or a module constant."""
+    """Top-level functions of ``path`` that build an exchange of their own:
+    they group by, or append, a ``"__bucket"`` column (given as a literal
+    or a module constant), or they run ``.groupby(...).map_groups`` on a
+    Dataset derived from a ``.union`` (directly, through a chain of calls,
+    or through a local name), whatever the bucket column is called."""
     import ast
 
     with open(path) as f:
@@ -319,13 +299,47 @@ def _bucket_exchange_functions(path: str) -> set:
             return consts.get(node.id) == "__bucket"
         return isinstance(node, ast.Constant) and node.value == "__bucket"
 
+    def from_union(node, unions: set) -> bool:
+        return any(
+            (
+                isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "union"
+            )
+            or (isinstance(n, ast.Name) and n.id in unions)
+            for n in ast.walk(node)
+        )
+
     found = set()
     for top in tree.body:
+        # local names bound to a value derived from a union, to a fixpoint
+        unions: set = set()
+        while True:
+            more = {
+                t.id
+                for n in ast.walk(top)
+                if isinstance(n, ast.Assign) and from_union(n.value, unions)
+                for t in n.targets
+                if isinstance(t, ast.Name)
+            }
+            if more <= unions:
+                break
+            unions |= more
         for n in ast.walk(top):
             tags = []
             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
                 if n.func.attr in ("groupby", "append_column") and n.args:
                     tags.append(n.args[0])
+                # Dataset.groupby(...).map_groups: pandas has no map_groups
+                grouped = n.func.value
+                if (
+                    n.func.attr == "map_groups"
+                    and isinstance(grouped, ast.Call)
+                    and isinstance(grouped.func, ast.Attribute)
+                    and grouped.func.attr == "groupby"
+                    and from_union(grouped.func.value, unions)
+                ):
+                    found.add(top.name)
             elif isinstance(n, ast.Dict):
                 tags.extend(k for k in n.keys if k is not None)
             if any(is_bucket(t) for t in tags):
@@ -334,9 +348,10 @@ def _bucket_exchange_functions(path: str) -> set:
 
 
 def test_no_hand_rolled_bucket_exchange():
-    """A single-input, hash-keyed regroup goes through ``keyed_exchange``:
-    no module but ``stages/exchange.py`` builds a ``"__bucket"`` exchange
-    of its own, except the multi-input ones listed above."""
+    """Every hash-keyed regroup, of one input or several, goes through
+    ``keyed_exchange`` or ``cogroup``: no module but
+    ``stages/exchange.py`` builds a ``"__bucket"`` exchange or groups a
+    union of its own."""
     pkg = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         "bioie_llm_ray",
@@ -350,8 +365,7 @@ def test_no_hand_rolled_bucket_exchange():
                 fns = _bucket_exchange_functions(path)
                 if fns:
                     found[rel] = fns
-    allowed = {m: set(fns) for m, fns in HAND_ROLLED_EXCHANGES.items()}
-    assert found == allowed
+    assert found == {}
 
 
 def test_dedup_queries_run_without_exchange_or_actor_pool(executed_plans, sf_dir_mid):

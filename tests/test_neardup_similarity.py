@@ -518,36 +518,6 @@ class TestJoins:
             got_b[["k", "v", "w"]], want[["k", "v", "w"]], check_dtype=False
         )
 
-    def test_packed_join_matches_widened(self):
-        """The IPC-blob shuffle join returns exactly the widened-union
-        join's rows (including buckets with keys on only one side)."""
-        from bioie_llm_ray.stages.join import shuffle_join_packed
-
-        rng = np.random.RandomState(4)
-        left = pd.DataFrame(
-            {"k": rng.randint(0, 50, 500), "v": rng.randn(500).round(6)}
-        )
-        right = pd.DataFrame({"k": range(0, 90, 2), "w": range(45)})
-        got = (
-            shuffle_join_packed(
-                ray.data.from_pandas(left),
-                ray.data.from_pandas(right),
-                keys="k",
-                n_buckets=8,
-            )
-            .to_pandas()
-            .sort_values(["k", "v", "w"])
-            .reset_index(drop=True)
-        )
-        want = (
-            left.merge(right, on="k")
-            .sort_values(["k", "v", "w"])
-            .reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(
-            got[["k", "v", "w"]], want[["k", "v", "w"]], check_dtype=False
-        )
-
     def test_anti_semi(self):
         from bioie_llm_ray.stages.join import anti_semi_filter
 
