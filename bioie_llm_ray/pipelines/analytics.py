@@ -34,6 +34,7 @@ from ..stages.exchange import (  # noqa: F401  (re-exported)
     _BYTES_PER_BUCKET,
     _PARQUET_EXPANSION,
     cogroup,
+    file_task,
     keyed_exchange,
     n_buckets_for_bytes,
 )
@@ -124,6 +125,20 @@ def _clean_schema_cached(
     if columns is None:
         return full
     return pa.schema([full.field(c).remove_metadata() for c in columns])
+
+
+def _docs_query(sf_dir: str, kernel, on_dataset) -> pd.DataFrame:
+    """A query over the ``documents`` table's (doc_id, text).  When the
+    table fits one bucket (``_nb(..., floor=1)`` is 1), ``kernel``
+    (``pa.Table → pa.Table``) runs over the file in one plain task
+    (``exchange.file_task``), with no Dataset.  Otherwise
+    ``on_dataset(ds, nb)`` answers over the ``_read`` Dataset with ``nb``
+    buckets."""
+    nb = _nb(sf_dir, "documents", floor=1)
+    if nb == 1:
+        path = os.path.join(sf_dir, "documents.parquet")
+        return file_task(path, ["doc_id", "text"], kernel).to_pandas()
+    return on_dataset(_read(sf_dir, "documents", columns=["doc_id", "text"]), nb)
 
 
 def _read_table(sf_dir: str, table: str, columns=None) -> pa.Table:
@@ -802,7 +817,7 @@ def doc_pack_blocks(sf_dir: str, block_size: int = 256) -> pd.DataFrame:
 
 def doc_dedup_exact(sf_dir: str) -> pd.DataFrame:
     """Exact dedup by content hash: canonical doc id + copy count per text."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    from ..stages.rollup import grouped_agg, grouped_agg_table
 
     def add_sha(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -817,18 +832,21 @@ def doc_dedup_exact(sf_dir: str) -> pd.DataFrame:
     # bucketed combiner aggregate: per-batch (min id, count) partials per
     # sha, one hash exchange — the native groupby sort path pays a full
     # sort on what is a corpus-cardinality key at scale
-    from ..stages.rollup import grouped_agg
-
-    out = grouped_agg(
-        ds.map_batches(add_sha, batch_format="pyarrow"),
-        keys=["text_sha256"],
-        aggs={
+    agg = {
+        "keys": ["text_sha256"],
+        "aggs": {
             "doc_id": ("doc_id", "min"),
             "n_copies": ("doc_id", "count"),
         },
-        n_buckets=_nb(sf_dir, "documents", floor=1),
-        partial=True,
-    ).to_pandas()
+        "partial": True,
+    }
+    out = _docs_query(
+        sf_dir,
+        lambda t: grouped_agg_table(add_sha(t), **agg),
+        lambda ds, nb: grouped_agg(
+            ds.map_batches(add_sha, batch_format="pyarrow"), n_buckets=nb, **agg
+        ).to_pandas(),
+    )
     if not len(out):
         return _empty_frame(doc_id="int64", text_sha256="object", n_copies="int64")
     return out.sort_values("doc_id").reset_index(drop=True)[
@@ -1518,20 +1536,28 @@ def top_similar_docs(sf_dir: str, k: int = 20) -> pd.DataFrame:
     a global sort — per-block partial top-k, ≤ k rows per block merge).
     A lower threshold admits more candidate pairs — inherent to the ask
     (the prefix filter's pruning power IS the threshold); the top-k
-    consumption keeps the driver at O(k · blocks) regardless."""
-    from ..stages.neardup import ngram_jaccard_pairs
+    consumption keeps the driver at O(k · blocks) regardless.  A table
+    that fits one bucket runs the pair query, the sort and the cut in one
+    task (``_docs_query``)."""
+    from ..stages.neardup import ngram_jaccard_pairs, ngram_pairs_table
     from ..stages.sample import distributed_sort_top_k
 
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    pairs = ngram_jaccard_pairs(
-        ds, threshold=0.2, id_col="doc_id", text_col="text"
+    order = [("jaccard", "descending"), ("id_a", "ascending"), ("id_b", "ascending")]
+    out = _docs_query(
+        sf_dir,
+        lambda t: ngram_pairs_table(t, threshold=0.2).sort_by(order).slice(0, k),
+        lambda ds, nb: distributed_sort_top_k(
+            ngram_jaccard_pairs(
+                ds, threshold=0.2, id_col="doc_id", text_col="text",
+                n_hash_buckets=nb, n_buckets=nb,
+            ),
+            sort_cols=[c for c, _ in order],
+            ascending=[d == "ascending" for _, d in order],
+            k=k,
+        ),
     )
-    out = distributed_sort_top_k(
-        pairs,
-        sort_cols=["jaccard", "id_a", "id_b"],
-        ascending=[False, True, True],
-        k=k,
-    )
+    if not len(out):
+        return _empty_frame(id_a="int64", id_b="int64", jaccard="float64")
     out["jaccard"] = out["jaccard"].round(6)
     out["id_a"] = out["id_a"].astype("int64")
     out["id_b"] = out["id_b"].astype("int64")
@@ -3029,15 +3055,15 @@ def triples_canonical(sf_dir: str) -> pd.DataFrame:
 
     One fused task stage does extract → link (canonical alias map) → pred
     column → batch-local dedup (combiner); the canonical dedup is sized from
-    the documents table's bytes, so a table that fits one bucket gets one
-    first-per-key pass with no exchange, and a larger one the two salted
-    groupbys.  The variant of this pipeline for real
-    vocabularies and alias indexes is ``pipelines.kg.extract_triples``.
+    the documents table's bytes.  A table that fits one bucket runs the
+    extract and one first-per-key pass in one plain task over its file
+    (``_docs_query``); a larger one gets the two salted groupbys.  The
+    variant of this pipeline for real vocabularies and alias indexes is
+    ``pipelines.kg.extract_triples``.
     """
-    from ..stages.dedup import salted_dedup
+    from ..stages.dedup import first_per_key, salted_dedup
     from ..stages.linker import normalize_surface
 
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     vocab = tuple(DOC_VOCAB)
     alias_index = dict(DOC_ALIAS_INDEX)
 
@@ -3069,15 +3095,22 @@ def triples_canonical(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    triples = ds.map_batches(extract_link_dedup, batch_format="pyarrow")
-    triples = salted_dedup(
-        triples,
-        ["subj", "pred", "obj"],
-        salt_col="src_sha",
-        n_salt=8,
-        n_buckets=_nb(sf_dir, "documents", floor=1),
+    spo = ["subj", "pred", "obj"]
+    out = _docs_query(
+        sf_dir,
+        lambda t: first_per_key(extract_link_dedup(t), spo).select(spo),
+        lambda ds, nb: salted_dedup(
+            ds.map_batches(extract_link_dedup, batch_format="pyarrow"),
+            spo,
+            salt_col="src_sha",
+            n_salt=8,
+            n_buckets=nb,
+        )
+        .select_columns(spo)
+        .to_pandas(),
     )
-    out = triples.select_columns(["subj", "pred", "obj"]).to_pandas()
+    if not len(out):
+        return _empty_frame(subj="object", pred="object", obj="object")
     return out.sort_values(["subj", "obj"]).reset_index(drop=True)
 
 
@@ -3217,27 +3250,29 @@ def dedup_minhash(
 ) -> pd.DataFrame:
     """MinHash-LSH candidate pairs verified at Jaccard ≥ 0.5 (3-shingles).
 
-    A corpus that fits one bucket hashes in a parallel map and runs the
-    rest of the query as one task; a larger one re-fetches text via
-    shuffle joins for the verify (the corpus never materializes on the
-    driver) — see ``neardup.minhash_neardup_pairs``.
-    ``max_broadcast_ids`` gates that re-fetch, so it applies only to a
-    corpus of more than one bucket.
+    A corpus that fits one bucket runs the whole query, hashing included,
+    as one plain task over its file (``neardup.minhash_pairs_table``); a
+    larger one re-fetches text via shuffle joins for the verify (the
+    corpus never materializes on the driver) — see
+    ``neardup.minhash_neardup_pairs``.  ``max_broadcast_ids`` gates that
+    re-fetch, so it applies only to a corpus of more than one bucket.
     """
-    from ..stages.neardup import minhash_neardup_pairs
+    from ..stages.neardup import minhash_neardup_pairs, minhash_pairs_table
 
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    nb = _nb(sf_dir, "documents", floor=1)
-    verified = minhash_neardup_pairs(
-        ds,
-        threshold=0.5,
-        id_col="doc_id",
-        text_col="text",
-        n_hash_buckets=nb,
-        n_buckets=nb,
-        max_broadcast_ids=max_broadcast_ids,
+    out = _docs_query(
+        sf_dir,
+        lambda t: minhash_pairs_table(t, threshold=0.5),
+        lambda ds, nb: minhash_neardup_pairs(
+            ds,
+            threshold=0.5,
+            id_col="doc_id",
+            text_col="text",
+            n_hash_buckets=nb,
+            n_buckets=nb,
+            max_broadcast_ids=max_broadcast_ids,
+        ).to_pandas(),
     )
-    return _sorted_pairs(verified.to_pandas(), "jaccard")
+    return _sorted_pairs(out, "jaccard")
 
 
 def embedding_clusters(sf_dir: str) -> pd.DataFrame:
@@ -3295,15 +3330,19 @@ def dedup_jaccard(sf_dir: str, threshold: float = 0.5) -> pd.DataFrame:
     prefix-filtered AllPairs — provably complete.  Both carry full DuckDB
     oracles; this one is the same word-3-gram Jaccard computed in SQL,
     minhash's is the whole LSH pipeline rebuilt (oracle.minhash_sql).
+    A corpus that fits one bucket runs the whole query as one plain task
+    over its file (``neardup.ngram_pairs_table``).
     """
-    from ..stages.neardup import ngram_jaccard_pairs
+    from ..stages.neardup import ngram_jaccard_pairs, ngram_pairs_table
 
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    nb = _nb(sf_dir, "documents", floor=1)
-    out = ngram_jaccard_pairs(
-        ds, threshold=threshold, id_col="doc_id", text_col="text",
-        n_hash_buckets=nb, n_buckets=nb,
-    ).to_pandas()
+    out = _docs_query(
+        sf_dir,
+        lambda t: ngram_pairs_table(t, threshold=threshold),
+        lambda ds, nb: ngram_jaccard_pairs(
+            ds, threshold=threshold, id_col="doc_id", text_col="text",
+            n_hash_buckets=nb, n_buckets=nb,
+        ).to_pandas(),
+    )
     return _sorted_pairs(out, "jaccard")
 
 
@@ -3331,13 +3370,15 @@ def dedup_components(sf_dir: str, threshold: float = 0.5) -> pd.DataFrame:
 
 
 def dedup_simhash(sf_dir: str) -> pd.DataFrame:
-    from ..stages.neardup import simhash_dedup
+    from ..stages.neardup import simhash_dedup, simhash_dedup_table
 
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    out = simhash_dedup(
-        ds, text_col="text", id_col="doc_id",
-        n_hash_buckets=_nb(sf_dir, "documents", floor=1),
-    ).to_pandas()
+    out = _docs_query(
+        sf_dir,
+        lambda t: simhash_dedup_table(t).select(["doc_id", "simhash"]),
+        lambda ds, nb: simhash_dedup(
+            ds, text_col="text", id_col="doc_id", n_hash_buckets=nb
+        ).to_pandas(),
+    )
     if not len(out):
         return _empty_frame(doc_id="int64", simhash="int64")
     return (

@@ -20,13 +20,14 @@ each expressed Ray-Data-first:
 The two pair queries (``minhash_neardup_pairs``, ``ngram_jaccard_pairs``)
 are a chain of table kernels: candidate rows (bands or prefix rows), pairs
 per key run, distinct ``(id_a, id_b)``, Jaccard verify.  When the caller's
-bucket counts are 1, i.e. the input fits one bucket, a map over the input
-blocks hashes each doc's bands or prefix into a list column next to its
-``(id, text)``, and the rest of the chain runs as ONE task over the
-coalesced table (``exchange.one_task``): no exchange, no materialization
-and no driver round trip.  With more buckets the same kernels run per
-bucket of the keyed exchanges, and verify re-fetches the texts
-(``verify_jaccard_pairs_join``).
+bucket counts are 1, i.e. the input fits one bucket, the whole chain,
+hashing included, is one ``pa.Table → pa.Table`` kernel
+(``minhash_pairs_table``, ``ngram_pairs_table``; ``simhash_dedup_table``
+for SimHash) run in ONE task over all rows: ``exchange.one_task`` over a
+Dataset, ``exchange.file_task`` over a parquet file.  There is no hashing
+map before it, no exchange, no materialization and no driver round trip.
+With more buckets the same kernels run per bucket of the keyed exchanges,
+and verify re-fetches the texts (``verify_jaccard_pairs_join``).
 
 All hashes are md5-derived (process-stable); signatures use the standard
 (a*x+b) mod p universal-hash family with a fixed seed.
@@ -616,11 +617,11 @@ def _verify_pairs_join(
     return j2.map_batches(score_joined, batch_format="pyarrow")
 
 
-# docs hashed at once by the hashing map in front of a one-task pair
-# query: a block is hashed in slices, so the map's peak RSS follows the
-# slice, not the block.  On a 50k-doc table with 17.2 MiB of text, hashing
-# it in one call raised peak RSS by 331 MiB; 4,096-doc slices cost about
-# 3% more time than whole 25k-doc blocks.
+# docs hashed at once inside a one-task pair query: the table is hashed in
+# slices, so the task's peak RSS follows the slice, not the table.  On a
+# 50k-doc table with 17.2 MiB of text, hashing it in one call raised peak
+# RSS by 331 MiB; 4,096-doc slices cost about 3% more time than whole
+# 25k-doc blocks.
 _HASH_SLICE = 4096
 
 
@@ -632,10 +633,6 @@ def _sliced(fn, table: pa.Table) -> pa.Table:
             for i in range(0, max(len(table), 1), _HASH_SLICE)
         ]
     )
-
-
-# per-doc candidate-row columns the hashing map carries into the one task
-_BANDS, _PREFIX, _N_SH = "__bands", "__prefix", "__n_sh"
 
 
 def _verified_in_table(
@@ -657,31 +654,26 @@ def _verified_in_table(
     return _jaccard_verified(cand, texts, threshold, n_shingle)
 
 
-def _with_bands(
-    batch: pa.Table, text_col: str, id_col: str,
-    n_perm: int, n_bands: int, n_shingle: int,
+def minhash_pairs_table(
+    docs: pa.Table,
+    threshold: float = 0.8,
+    text_col: str = "text",
+    id_col: str = "doc_id",
+    n_perm: int = 64,
+    n_bands: int = 16,
+    n_shingle: int = 3,
 ) -> pa.Table:
-    """(id, text) plus each doc's ``n_bands`` LSH band keys as one
-    fixed-size list column: the rows of ``minhash_bands_batch``, one row
-    per doc."""
-    a, b = _cached_minhash_params(n_perm)
-    h = _band_hashes(batch[text_col], a, b, n_bands, n_perm // n_bands, n_shingle)
-    return batch.select([id_col, text_col]).append_column(
-        _BANDS, pa.FixedSizeListArray.from_arrays(pa.array(h.ravel()), n_bands)
+    """The whole MinHash pair query over one table of (id, text): band rows
+    (``minhash_bands_batch``, in ``_HASH_SLICE``-doc slices), chained pairs
+    per LSH bucket, distinct pairs, Jaccard verify against the texts the
+    table holds.  (id_a, id_b, jaccard), typed also on zero rows.  The
+    kernel of ``minhash_neardup_pairs`` at B = 1."""
+    bands = _sliced(
+        lambda t: minhash_bands_batch(t, text_col, id_col, n_perm, n_bands, n_shingle),
+        docs,
     )
-
-
-def _minhash_pairs_table(
-    docs: pa.Table, threshold: float, text_col: str, id_col: str, n_shingle: int
-) -> pa.Table:
-    """The MinHash pair query over one ``_with_bands`` table: band rows,
-    chained pairs, distinct pairs, Jaccard verify."""
-    n_bands = docs.schema.field(_BANDS).type.list_size
-    h = pc.list_flatten(docs[_BANDS]).to_numpy().reshape(-1, n_bands)
-    pairs = _lsh_chain_pairs(_band_rows(docs[id_col], h, id_col), id_col)
-    return _verified_in_table(
-        docs, _distinct_pair_rows(pairs), threshold, n_shingle, id_col, text_col
-    )
+    pairs = _distinct_pair_rows(_lsh_chain_pairs(bands, id_col))
+    return _verified_in_table(docs, pairs, threshold, n_shingle, id_col, text_col)
 
 
 def minhash_neardup_pairs(
@@ -699,27 +691,21 @@ def minhash_neardup_pairs(
     """MinHash-LSH candidates verified at n-gram Jaccard ≥ ``threshold``:
     (id_a, id_b, jaccard), id_a < id_b, distinct.
 
-    With ``n_hash_buckets == n_buckets == 1`` a map over the input blocks
-    hashes each doc's bands (``_with_bands``, in parallel), and the chain
-    pairs, the pair distinct and the verify run as one task over all rows,
-    with no exchange and no driver call; ``max_broadcast_ids`` is unused
-    there.  Otherwise ``minhash_lsh_candidates`` (``n_hash_buckets``)
+    With ``n_hash_buckets == n_buckets == 1`` the whole query, hashing
+    included, is ``minhash_pairs_table`` in one task over all rows, with
+    no exchange and no driver call; ``max_broadcast_ids`` is unused there.
+    Otherwise ``minhash_lsh_candidates`` (``n_hash_buckets``)
     feeds ``verify_jaccard_pairs_join`` (``n_buckets``,
     ``max_broadcast_ids``).
     """
     if n_hash_buckets == n_buckets == 1:
 
-        def with_bands(batch: pa.Table) -> pa.Table:
-            return _sliced(
-                lambda t: _with_bands(t, text_col, id_col, n_perm, n_bands, n_shingle),
-                batch,
+        def minhash_pairs(docs: pa.Table) -> pa.Table:
+            return minhash_pairs_table(
+                docs, threshold, text_col, id_col, n_perm, n_bands, n_shingle
             )
 
-        def minhash_pairs(docs: pa.Table) -> pa.Table:
-            return _minhash_pairs_table(docs, threshold, text_col, id_col, n_shingle)
-
-        banded = ds.map_batches(with_bands, batch_format="pyarrow")
-        return one_task(banded, minhash_pairs)
+        return one_task(ds, minhash_pairs)
     cand = minhash_lsh_candidates(
         ds,
         text_col=text_col,
@@ -834,6 +820,31 @@ class SimHasher:
         return batch.append_column(self.out_col, pa.array(fp.astype(np.int64)))
 
 
+def _drop_tokenless(table: pa.Table, text_col: str) -> pa.Table:
+    """Rows whose text holds a word token (not empty, whitespace or null)."""
+    return table.filter(pc.not_equal(pc.utf8_trim_whitespace(table[text_col]), ""))
+
+
+def _first_per_simhash(table: pa.Table, id_col: str) -> pa.Table:
+    """The smallest-id row of each simhash, sorted by (simhash, id)."""
+    order = pc.sort_indices(
+        table, sort_keys=[("simhash", "ascending"), (id_col, "ascending")]
+    )
+    sorted_t = table.take(order)
+    return sorted_t.filter(pa.array(_new_key(sorted_t["simhash"].to_numpy())))
+
+
+def simhash_dedup_table(
+    docs: pa.Table, text_col: str = "text", id_col: str = "doc_id"
+) -> pa.Table:
+    """The whole SimHash dedup over one table: fingerprint each row
+    (``SimHasher``), drop rows without a word token, keep the smallest id
+    per fingerprint.  The input columns plus ``simhash``, typed also on
+    zero rows.  The kernel of ``simhash_dedup`` at B = 1."""
+    hashed = _drop_tokenless(SimHasher(text_col=text_col)(docs), text_col)
+    return _first_per_simhash(hashed, id_col)
+
+
 def simhash_dedup(
     ds: ray.data.Dataset,
     text_col: str = "text",
@@ -845,18 +856,25 @@ def simhash_dedup(
     Bucket-group pattern: distinct-fingerprint cardinality ≈ corpus size,
     so shuffling one group per fingerprint would make one Python call per
     distinct document; instead group by ``hash(simhash) % B`` and run one
-    vectorized sort+dedup pass per bucket (one pass and no exchange when
-    B is 1).
+    vectorized sort+dedup pass per bucket.  With B = 1 the whole stage is
+    ``simhash_dedup_table`` in one task over all rows.
 
     A doc with no word token (empty, whitespace-only or null text) has no
     fingerprint and is dropped before the exchange, as the SQL oracle's
     token filter drops it.
     """
+    if n_hash_buckets == 1:
+
+        def simhash_first(docs: pa.Table) -> pa.Table:
+            return simhash_dedup_table(docs, text_col, id_col)
+
+        return one_task(ds, simhash_first)
 
     def drop_tokenless(batch: pa.Table) -> pa.Table:
-        return batch.filter(
-            pc.not_equal(pc.utf8_trim_whitespace(batch[text_col]), "")
-        )
+        return _drop_tokenless(batch, text_col)
+
+    def first_by_id(group: pa.Table) -> pa.Table:
+        return _first_per_simhash(group, id_col)
 
     # filter after hashing: Ray Data skips the UDFs after a stage that
     # empties a block, so a block emptied before SimHasher would go on
@@ -864,19 +882,6 @@ def simhash_dedup(
     hashed = ds.map_batches(
         SimHasher(text_col=text_col), batch_format="pyarrow"
     ).map_batches(drop_tokenless, batch_format="pyarrow")
-
-    def first_by_id(group: pa.Table) -> pa.Table:
-        order = pc.sort_indices(
-            group,
-            sort_keys=[("simhash", "ascending"), (id_col, "ascending")],
-        )
-        sorted_t = group.take(order)
-        sims = sorted_t["simhash"].to_numpy(zero_copy_only=False)
-        first = np.empty(len(sims), dtype=bool)
-        first[:1] = True
-        first[1:] = sims[1:] != sims[:-1]
-        return sorted_t.filter(pa.array(first))
-
     return keyed_exchange(hashed, ["simhash"], first_by_id, n_hash_buckets)
 
 
@@ -1104,43 +1109,25 @@ def _sorted_unique_shingles(texts, n_shingle: int) -> "tuple[np.ndarray, np.ndar
     return S[first], doc[first]
 
 
-def _prefix_lists(
-    texts, threshold: float, n_shingle: int
-) -> "tuple[pa.ListArray, np.ndarray]":
-    """Per doc its first ``n − ceil(t·n) + 1`` distinct shingle hashes
-    (ascending) as a ``list<uint64>`` array, and its distinct-shingle
-    count ``n``."""
-    u, doc = _sorted_unique_shingles(texts, n_shingle)
-    n = np.bincount(doc, minlength=len(texts))
-    start = np.concatenate(([0], np.cumsum(n)[:-1]))
-    plen = n - np.ceil(threshold * n).astype(np.int64) + 1
-    keep = np.arange(len(u)) - start[doc] < plen[doc]
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(doc[keep], minlength=len(n)))))
-    lists = pa.ListArray.from_arrays(
-        pa.array(offsets, type=pa.int32()), pa.array(u[keep], type=pa.uint64())
-    )
-    return lists, n
-
-
-def _prefix_table(ids, prefix, n_sh, id_col: str) -> pa.Table:
-    """(shingle, id, n_sh) prefix-filter rows, one per prefix shingle, from
-    per-doc ids, prefix lists and distinct-shingle counts."""
-    doc = pc.list_parent_indices(prefix)
-    return pa.table(
-        {
-            "shingle": pc.list_flatten(prefix),
-            id_col: ids.take(doc),
-            "n_sh": pa.array(np.asarray(n_sh)[doc.to_numpy()], type=pa.int64()),
-        }
-    )
-
-
 def _prefix_rows(
     batch: pa.Table, text_col: str, id_col: str, threshold: float, n_shingle: int
 ) -> pa.Table:
-    """(shingle, id, n_sh) prefix-filter rows of a batch (``_prefix_lists``)."""
-    prefix, n = _prefix_lists(batch[text_col], threshold, n_shingle)
-    return _prefix_table(batch[id_col], prefix, n, id_col)
+    """(shingle, id, n_sh) prefix-filter rows of a batch: per doc its first
+    ``n − ceil(t·n) + 1`` distinct shingle hashes (ascending), each with
+    the doc's distinct-shingle count ``n``; doc-major."""
+    u, doc = _sorted_unique_shingles(batch[text_col], n_shingle)
+    n = np.bincount(doc, minlength=len(batch))
+    start = np.concatenate(([0], np.cumsum(n)[:-1]))
+    plen = n - np.ceil(threshold * n).astype(np.int64) + 1
+    keep = np.arange(len(u)) - start[doc] < plen[doc]
+    d = doc[keep]
+    return pa.table(
+        {
+            "shingle": pa.array(u[keep], type=pa.uint64()),
+            id_col: batch[id_col].take(pa.array(d, type=pa.int64())),
+            "n_sh": pa.array(n[d], type=pa.int64()),
+        }
+    )
 
 
 # bound on the (run, pair) index rows ``_prefix_pairs`` builds at once
@@ -1193,31 +1180,26 @@ def _prefix_pairs(
     return _distinct_pair_rows(pairs)
 
 
-def _with_prefix(
-    batch: pa.Table, text_col: str, id_col: str, threshold: float, n_shingle: int
-) -> pa.Table:
-    """(id, text) plus each doc's prefix list and distinct-shingle count:
-    the rows of ``_prefix_rows``, one row per doc."""
-    prefix, n = _prefix_lists(batch[text_col], threshold, n_shingle)
-    return (
-        batch.select([id_col, text_col])
-        .append_column(_PREFIX, prefix)
-        .append_column(_N_SH, pa.array(n, type=pa.int64()))
-    )
-
-
-def _ngram_pairs_table(
+def ngram_pairs_table(
     docs: pa.Table,
-    threshold: float,
-    n_shingle: int,
-    text_col: str,
-    id_col: str,
-    id_type: pa.DataType,
+    threshold: float = 0.5,
+    n_shingle: int = 3,
+    text_col: str = "text",
+    id_col: str = "doc_id",
+    id_type: pa.DataType | None = None,
 ) -> pa.Table:
-    """The n-gram Jaccard pair query over one ``_with_prefix`` table:
-    prefix rows, distinct prefix pairs, Jaccard verify."""
-    rows = _prefix_table(docs[id_col], docs[_PREFIX], docs[_N_SH], id_col)
-    pairs = _prefix_pairs(rows, id_col, threshold, id_type)
+    """The whole n-gram Jaccard pair query over one table of (id, text):
+    prefix rows (``_prefix_rows``, in ``_HASH_SLICE``-doc slices),
+    distinct prefix pairs, Jaccard verify against the texts the table
+    holds.  (id_a, id_b, jaccard) with ids of ``id_type`` (default: the
+    table's id type), typed also on zero rows.  The kernel of
+    ``ngram_jaccard_pairs`` at B = 1."""
+    rows = _sliced(
+        lambda t: _prefix_rows(t, text_col, id_col, threshold, n_shingle), docs
+    )
+    pairs = _prefix_pairs(
+        rows, id_col, threshold, id_type or docs.schema.field(id_col).type
+    )
     return _verified_in_table(docs, pairs, threshold, n_shingle, id_col, text_col)
 
 
@@ -1248,10 +1230,10 @@ def ngram_jaccard_pairs(
     3. Dedup pairs (bucketed ``_distinct_pairs``), then verify true Jaccard
        with the distributed text re-fetch join — output == ground truth.
 
-    With ``n_hash_buckets == n_buckets == 1`` a map over the input blocks
-    builds each doc's prefix (``_with_prefix``, in parallel), and the
-    pairs and the verify run as one task over all rows, against the texts
-    that task already holds: no exchange and no driver call.
+    With ``n_hash_buckets == n_buckets == 1`` the whole query, prefix
+    hashing included, is ``ngram_pairs_table`` in one task over all rows,
+    verified against the texts that task already holds: no exchange and no
+    driver call.
 
     Scale notes: index size is (1−t)·|shingles| rows — the threshold is the
     cost knob.  A boilerplate shingle shared by m prefixes emits O(m²)
@@ -1264,19 +1246,12 @@ def ngram_jaccard_pairs(
 
     if n_hash_buckets == n_buckets == 1:
 
-        def with_prefix(batch: pa.Table) -> pa.Table:
-            return _sliced(
-                lambda t: _with_prefix(t, text_col, id_col, threshold, n_shingle),
-                batch,
-            )
-
         def ngram_pairs(docs: pa.Table) -> pa.Table:
-            return _ngram_pairs_table(
+            return ngram_pairs_table(
                 docs, threshold, n_shingle, text_col, id_col, id_type
             )
 
-        prefixed = ds.map_batches(with_prefix, batch_format="pyarrow")
-        return one_task(prefixed, ngram_pairs)
+        return one_task(ds, ngram_pairs)
 
     def prefix_rows(batch: pa.Table) -> pa.Table:
         return _prefix_rows(batch, text_col, id_col, threshold, n_shingle)

@@ -25,7 +25,7 @@ from ..functions.arrowio import from_pandas_clean
 import pyarrow.compute as pc
 import ray
 
-from .exchange import keyed_exchange
+from .exchange import keyed_exchange, one_task
 
 # partial-fn, final-fn (applied to partial outputs) per public agg name
 _REAGG = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
@@ -46,17 +46,9 @@ def _agg_pairs(aggs: dict, partial: bool) -> tuple[list, list]:
     return pairs, names
 
 
-def grouped_agg(
-    ds: ray.data.Dataset,
-    keys: list[str],
-    aggs: dict,
-    n_buckets: int,
-    partial: bool,
-) -> ray.data.Dataset:
-    """One distributed grouped aggregate: per-batch combiner partials, one
-    bucketed exchange (none when ``n_buckets == 1``), per-bucket final
-    combine.  Global (no-key) aggregates skip the exchange entirely: every
-    batch folds to one row and a single task finishes it."""
+def _agg_passes(keys: list[str], aggs: dict, partial: bool):
+    """(local, combine): ``grouped_agg``'s per-batch partial pass and its
+    final pass over the partials."""
     pairs, names = _agg_pairs(aggs, partial)
     final_pairs = [(n, _REAGG[fn]) for n, (_, fn) in zip(names, aggs.values())]
 
@@ -83,10 +75,43 @@ def grouped_agg(
 
     def combine(group: pa.Table) -> pa.Table:
         if not keys:
-            return scalar_agg(group, [(n, f) for n, f in final_pairs])
+            return scalar_agg(group, final_pairs)
         out = group.group_by(keys).aggregate(final_pairs)
         return out.rename_columns(keys + names)
 
+    return local, combine
+
+
+def grouped_agg_table(
+    table: pa.Table, keys: list[str], aggs: dict, partial: bool
+) -> pa.Table:
+    """``grouped_agg`` over one in-memory table: its local pass, then its
+    combine.  Typed also on zero rows.  The kernel of ``grouped_agg`` at
+    B = 1."""
+    local, combine = _agg_passes(keys, aggs, partial)
+    return combine(local(table))
+
+
+def grouped_agg(
+    ds: ray.data.Dataset,
+    keys: list[str],
+    aggs: dict,
+    n_buckets: int,
+    partial: bool,
+) -> ray.data.Dataset:
+    """One distributed grouped aggregate: per-batch combiner partials, one
+    bucketed exchange, per-bucket final combine.  With ``n_buckets == 1``
+    the input fits one bucket, and ``grouped_agg_table`` runs in one task
+    over all rows.  Global (no-key) aggregates skip the exchange whatever
+    their size: every batch folds to one row and a single task finishes
+    it."""
+    if keys and n_buckets == 1:
+
+        def agg(table: pa.Table) -> pa.Table:
+            return grouped_agg_table(table, keys, aggs, partial)
+
+        return one_task(ds, agg)
+    local, combine = _agg_passes(keys, aggs, partial)
     return keyed_exchange(
         ds.map_batches(local, batch_format="pyarrow"),
         keys,

@@ -3,13 +3,15 @@ family built on it.
 
 - The one-bucket path (no exchange) gives the same rows as the bucketed
   groupby for every stage that takes a bucket count, in both batch formats.
-- At testdata scale the dedup queries run with no exchange and no actor
-  pool, each near-dup pair query is one plan with one task after the
-  read, and ``dedup_simhash`` finishes on a 1- and a 2-CPU session.
-- Empty results keep their declared columns.
+- At testdata scale the documents queries that fit one bucket run as one
+  plain task over their file, with no Dataset, and answer as their
+  Dataset exchange path does; a near-dup pair query over a Dataset at
+  B = 1 is one plan with one task after the read, and ``dedup_simhash``
+  finishes on a 1- and a 2-CPU session.
+- Empty results keep their declared columns and dtypes, on both paths.
 - The vectorized prefix-filter kernels of ``ngram_jaccard_pairs`` equal
-  the per-doc and per-run loops, and the one-bucket MinHash pair query
-  hashes in slices, so its peak RSS stays bounded on a large block.
+  the per-doc and per-run loops, and the one-task MinHash pair query
+  hashes in slices, so its peak RSS stays bounded on a large table.
 - The vectorized SimHash kernel equals the per-doc vote loop, and
   ``simhash_dedup`` drops docs without a word token as its oracle does.
 - The flagship dedup: ``salted_dedup`` at B = 1 equals B = 64, the
@@ -76,6 +78,9 @@ from bioie_llm_ray.stages.window import (
 )
 
 DEDUP_QUERIES = ["doc_dedup_exact", "dedup_minhash", "dedup_simhash", "dedup_jaccard"]
+# the queries that run as one file task when the documents table fits one
+# bucket
+FILE_TASK_QUERIES = DEDUP_QUERIES + ["triples_canonical", "top_similar_docs"]
 
 
 def _table(sf: str, table: str, columns: list[str]) -> ray.data.Dataset:
@@ -368,26 +373,50 @@ def test_no_hand_rolled_bucket_exchange():
     assert found == {}
 
 
-def test_dedup_queries_run_without_exchange_or_actor_pool(executed_plans, sf_dir_mid):
-    """At testdata scale every dedup query fits one bucket: its plans hold
-    no shuffle, sort or aggregate operator and no actor pool."""
+def test_file_task_queries_run_no_dataset(executed_plans, sf_dir_mid):
+    """At testdata scale the documents table fits one bucket: each of these
+    queries is one plain task over the file, so no Dataset executes, and
+    repeated calls leave Ray Data's per-operator function cache alone."""
+    from ray.data._internal import remote_fn
+
     with executed_plans() as plans:
-        for q in DEDUP_QUERIES:
-            getattr(analytics, q)(sf_dir_mid)
-    assert any("MapBatches(SimHasher)" in p for p in plans), plans
-    for p in plans:
-        for op in ("ActorPool", "Sort", "Shuffle", "Aggregate"):
-            assert op not in p, p
+        n = len(remote_fn.CACHED_FUNCTIONS)
+        for _ in range(3):
+            for q in FILE_TASK_QUERIES:
+                getattr(analytics, q)(sf_dir_mid)
+    assert plans == []
+    assert len(remote_fn.CACHED_FUNCTIONS) == n
 
 
-@pytest.mark.parametrize("query", ["dedup_minhash", "dedup_jaccard"])
-def test_pair_query_is_one_task(executed_plans, sf_dir_mid, query):
-    """Candidates, pair distinct and verify run in the one task after the
-    read: one executed plan, one ``Repartition``, no driver round trip."""
+@pytest.mark.parametrize(
+    "stage", [minhash_neardup_pairs, ngram_jaccard_pairs], ids=lambda f: f.__name__
+)
+def test_dataset_pair_query_is_one_task(executed_plans, sf_dir_mid, stage):
+    """Over a Dataset at B = 1, hashing, candidates, pair distinct and
+    verify all run in the one task after the read: one executed plan, one
+    ``Repartition``, and no map between the read and it."""
     with executed_plans() as plans:
-        getattr(analytics, query)(sf_dir_mid)
+        stage(_docs(sf_dir_mid), threshold=0.5, n_hash_buckets=1, n_buckets=1).to_pandas()
     assert len(plans) == 1, plans
     assert plans[0].count("Repartition") == 1, plans
+    before = plans[0].split("Repartition")[0]
+    assert "ReadParquet" in before and "MapBatches" not in before, plans
+
+
+def _force_buckets(monkeypatch, n: int) -> None:
+    """Size every ``_nb`` exchange of ``analytics`` at ``n`` buckets."""
+    monkeypatch.setattr(analytics, "_nb", lambda sf_dir, table, floor=16: n)
+
+
+@pytest.mark.parametrize("query", FILE_TASK_QUERIES)
+def test_file_task_equals_dataset_exchange(monkeypatch, sf_dir, query):
+    """A query's one-task answer over the file equals its answer over the
+    Dataset with 16 buckets."""
+    one = getattr(analytics, query)(sf_dir)
+    _force_buckets(monkeypatch, 16)
+    sixteen = getattr(analytics, query)(sf_dir)
+    assert len(one) > 0
+    pd.testing.assert_frame_equal(one, sixteen)
 
 
 SESSION_SCRIPT = """
@@ -488,6 +517,18 @@ class TestTypedEmptyResults:
         out = getattr(analytics, query)(zero_row_dir)
         assert len(out) == 0
         assert list(out.columns) == list(_oracle(zero_row_dir, query).columns)
+
+    @pytest.mark.parametrize("n_buckets", [1, 16])
+    @pytest.mark.parametrize("query", FILE_TASK_QUERIES)
+    def test_zero_row_corpus_dtypes(self, monkeypatch, zero_row_dir, query, n_buckets):
+        """A plain task calls its kernel on zero rows, where Ray Data skips
+        an empty block: both paths answer the oracle's columns and dtypes."""
+        want = _oracle(zero_row_dir, query)
+        _force_buckets(monkeypatch, n_buckets)
+        out = getattr(analytics, query)(zero_row_dir)
+        assert len(out) == 0
+        assert list(out.columns) == list(want.columns)
+        assert list(out.dtypes) == list(want.dtypes)
 
 
 def _simhash_loop(texts) -> list[int]:
@@ -607,11 +648,8 @@ texts[1::50] = texts[::50]  # some near-dup work for the verify
 docs = pa.table({"doc_id": np.arange(50_000), "text": texts})
 del texts
 base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-# the hashing map over the table as one block, then the one task
-banded = neardup._sliced(
-    lambda t: neardup._with_bands(t, "text", "doc_id", 64, 16, 3), docs
-)
-out = neardup._minhash_pairs_table(banded, 0.5, "text", "doc_id", 3)
+# the one-task kernel over the whole table, hashing included
+out = neardup.minhash_pairs_table(docs, 0.5, "text", "doc_id", 64, 16, 3)
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(docs["text"].nbytes, len(out), (peak - base) // 1024)
 """
@@ -619,9 +657,8 @@ print(docs["text"].nbytes, len(out), (peak - base) // 1024)
 
 def test_one_task_pair_query_peak_rss_is_bounded():
     """The B = 1 MinHash pair query over a 50k-doc, 17.2 MiB table, run in
-    one process: the hashing map over the table as one block, in slices,
-    then the one-task kernel.  Hashing the table in one call raised peak
-    RSS by 331 MiB."""
+    one process: the one-task kernel, which hashes the table in slices.
+    Hashing the table in one call raised peak RSS by 331 MiB."""
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     out = subprocess.run(
         [sys.executable, "-c", RSS_SCRIPT], cwd=repo, capture_output=True,
